@@ -220,20 +220,14 @@ def _cmd_search(args, cfg: RunConfig) -> int:
         return EXIT_OK
 
     instance = search.encode(spec, clause_cap=cfg.clause_cap)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"maj-n{spec.n}-k{spec.k}"
-    cnf_path = out_dir / f"{stem}.cnf"
-    instance.write_dimacs(cnf_path)
-    instance.write_varmap(out_dir / f"{stem}.varmap")
+    cnf_path = instance.write_files(args.out_dir)
     print(f"wrote {cnf_path} ({instance.num_vars} vars, {len(instance.clauses)} clauses)")
     if args.no_solve:
         return EXIT_OK
-    result = search.run_solver(cnf_path, args.solver)
-    if result.status == "unsat":
+    found = search.solve_instance(instance, cnf_path, args.solver)
+    if found is None:
         print("unsatisfiable: no circuit in the space", file=sys.stderr)
         return EXIT_UNSAT
-    found = search.decode(instance, result.model)
     _write_circuit(found, args.out)
     if args.out:
         _circuit_summary(found, cfg, {"out": args.out})

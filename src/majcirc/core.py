@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VARS = 10**6
 
@@ -423,8 +423,3 @@ def parse_circuit(text: str) -> LayeredCircuit:
     if top_id not in id_maps[depth]:
         raise CircuitParseError(no, f"dangling top reference g{top_layer}:{top_id}")
     return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=id_maps[depth][top_id])
-
-
-def circuit_function(c: LayeredCircuit) -> Callable[[Assignment], int]:
-    """Convenience closure form of eval_circuit."""
-    return lambda a: eval_circuit(c, a)

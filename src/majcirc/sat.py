@@ -15,10 +15,13 @@ so it runs as ``python -m majcirc.sat FILE.cnf`` or as a plain script,
 ``s SATISFIABLE`` followed by ``v`` lines that assign every variable 1..nv
 and end in 0, exit status 10; or ``s UNSATISFIABLE``, exit status 20.
 Unreadable or malformed input exits with status 1 and a message on stderr.
+A reader that closes the output early (``| head -1``) changes neither the
+exit status nor stderr.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from heapq import heapify, heappop, heappush
 
@@ -373,13 +376,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     model = solve(num_vars, clauses)
     if model is None:
-        print("s UNSATISFIABLE")
-        return EXIT_UNSAT
+        return _emit("s UNSATISFIABLE", EXIT_UNSAT)
     lits = model + [0]
     lines = ["s SATISFIABLE"]
     lines += ["v " + " ".join(map(str, lits[i : i + 20])) for i in range(0, len(lits), 20)]
-    print("\n".join(lines))
-    return EXIT_SAT
+    return _emit("\n".join(lines), EXIT_SAT)
+
+
+def _emit(text: str, status: int) -> int:
+    """Print text and return status, quietly when the reader has gone."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Unwritten output stays buffered; point stdout at devnull so the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -220,13 +220,15 @@ class CnfInstance:
     sel: dict[tuple[int, int, int], int]
     thr: dict[tuple[int, int], int]
 
-    @property
-    def sel_rev(self) -> dict[int, tuple[int, int, int]]:
-        return {v: key for key, v in self.sel.items()}
-
-    @property
-    def thr_rev(self) -> dict[int, tuple[int, int]]:
-        return {v: key for key, v in self.thr.items()}
+    def write_files(self, directory: str | Path) -> Path:
+        """Write maj-n<n>-k<k>.cnf and its .varmap sidecar into directory,
+        creating it if needed; return the .cnf path."""
+        base = Path(directory)
+        base.mkdir(parents=True, exist_ok=True)
+        stem = f"maj-n{self.spec.n}-k{self.spec.k}"
+        self.write_dimacs(base / f"{stem}.cnf")
+        self.write_varmap(base / f"{stem}.varmap")
+        return base / f"{stem}.cnf"
 
     def write_dimacs(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -576,13 +578,16 @@ def solve_spec(
     """
     instance = encode(spec, clause_cap=clause_cap)
     with tempfile.TemporaryDirectory(prefix="majcirc-") as tmp:
-        base = Path(keep_files) if keep_files is not None else Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
-        stem = f"maj-n{spec.n}-k{spec.k}"
-        cnf = base / f"{stem}.cnf"
-        instance.write_dimacs(cnf)
-        instance.write_varmap(base / f"{stem}.varmap")
-        result = run_solver(cnf, solver)
+        cnf = instance.write_files(tmp if keep_files is None else keep_files)
+        return solve_instance(instance, cnf, solver)
+
+
+def solve_instance(
+    instance: CnfInstance, dimacs_path: str | Path, solver: str | None = None
+) -> LayeredCircuit | None:
+    """Solve the instance's DIMACS file and decode the model.  None when
+    unsatisfiable."""
+    result = run_solver(dimacs_path, solver)
     if result.status == "unsat":
         return None
     return decode(instance, result.model)

@@ -10,14 +10,34 @@ Three regimes:
 * estimate_agreement: i.i.d. uniform inputs, with a distribution-free
   confidence half-width for the agreement rate.
 
-All bulk evaluation goes through a chunked vectorized engine.  Chunks own
+Every verify_* call compiles its circuit once (compile_circuit) into a Plan
+that each worker receives once.  Per layer the Plan holds the distinct
+weighted supports (one dense weight matrix or one gather per support), each
+gate's support column and threshold, and the arithmetic: the first of
+float32, float64, int64 and Python integers that holds every value the
+layer compares, so every sum is exact.
+
+Variables whose weight columns into layer 1 are identical form a variable
+class; only the number of ones in each class matters to the circuit.  When
+the classes compress, i.e. a count row is no larger than a bit row
+(8 * C <= n for C classes), sampled verify_minmax draws each chunk's class
+counts directly: a multivariate hypergeometric draw by numpy's integer
+Fisher-Yates method, exactly uniform over the weight-w layer like the bit
+sampler.  Layer 1 then sums counts times class weights, which equals its
+sum on every bit row with those counts, so the report has the same law;
+later layers and the tally are unchanged.  The rule depends only on the
+circuit.  Circuits that do not compress (published, correlation) keep the
+bit sampler and its draws.
+
+All bulk evaluation goes through one chunked vectorized engine.  Chunks own
 their randomness (one derived stream per chunk index), and results are
 merged in chunk order, so every report is byte-identical no matter how many
-worker threads processed it.
+worker processes produced it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -27,75 +47,199 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import Assignment, LayeredCircuit, majority_threshold
+from .core import Assignment, LayeredCircuit, ThresholdGate, majority_threshold
 from ._rand import philox
 
 DEFAULT_CHUNK = 8192
 EXHAUSTIVE_CAP = 30
 LAYER_CAP = 10**8
 
-# Dense matrix evaluation beats per-support gather sums once the layer has
-# many distinct supports; the factor reflects the BLAS advantage.
+# A layer's sums come from one dense product (a pass casting the rows, then
+# BLAS) or from one gather sum per distinct support.  A multiply-add in the
+# product costs about 1/_DENSE_ADVANTAGE of a gathered read.
 _DENSE_ADVANTAGE = 16
+
+# Class counts replace bit rows when C classes make a count row (int64) no
+# larger than a bit row (uint8): 8 * C <= n.
+_CLASS_COMPRESSION = 8
+
+# Arithmetic by the largest value a layer compares: integers are exact up
+# to 2^24 in float32 and 2^53 in float64.  Every term of a sum is
+# nonnegative, so no partial sum exceeds the full one in any order of
+# addition.
+_TIERS = ((2**24, np.float32), (2**53, np.float64), (2**63 - 1, np.int64))
 
 
 class CapExceeded(ValueError):
     """The requested exhaustive sweep is too large; use layer or sample modes."""
 
 
-def _group_sum(below: np.ndarray, sig: tuple) -> np.ndarray:
-    """Weighted input sum shared by all gates with support signature sig."""
-    positions = [p for p, _ in sig]
-    start, stop = positions[0], positions[-1] + 1
-    contiguous = stop - start == len(positions)
-    if all(w == 1 for _, w in sig):
-        if contiguous:
-            return below[:, start:stop].sum(axis=1, dtype=np.int64)
-        return below[:, positions].sum(axis=1, dtype=np.int64)
-    wts = np.fromiter((w for _, w in sig), dtype=np.int64, count=len(sig))
-    return below[:, positions].astype(np.int64) @ wts
+def _arithmetic(top: int) -> np.dtype:
+    for limit, dtype in _TIERS:
+        if top <= limit:
+            return np.dtype(dtype)
+    return np.dtype(object)
 
 
-def _eval_layer(gates, below: np.ndarray) -> np.ndarray:
-    """Outputs of one layer of gates on a batch of value rows.
+@dataclass(frozen=True)
+class LayerPlan:
+    """One compiled layer of gates.
 
-    below: (m, width) integer 0/1 matrix.  Groups gates sharing a support so
-    each distinct weighted sum is computed once; falls back to one dense
-    matrix product when supports are mostly distinct.
+    The distinct weighted supports of the gates give the sum columns: one
+    product with `matrix` (width x supports) when it is set, else one
+    gather per `supports` entry (positions as a slice or index array, and
+    weights, None when all are 1).  Gate g fires when sum column group[g]
+    reaches theta[g]; group is None when gate g reads column g.  Thresholds
+    are clamped into 0..fanin+1, which keeps every gate's truth table, so
+    dtype holds the largest fan-in plus one exactly.
     """
-    m = below.shape[0]
-    width = below.shape[1]
-    groups: dict[tuple, list[int]] = {}
-    for idx, g in enumerate(gates):
-        groups.setdefault(g.inputs, []).append(idx)
-    gather_cost = sum(len(sig) for sig in groups)
-    out = np.empty((m, len(gates)), dtype=np.uint8)
-    if len(gates) * width <= _DENSE_ADVANTAGE * gather_cost:
-        w = np.zeros((width, len(gates)), dtype=np.float64)
-        thetas = np.empty(len(gates), dtype=np.float64)
-        for idx, g in enumerate(gates):
-            for p, wt in g.inputs:
-                w[p, idx] = wt
-            thetas[idx] = g.theta
-        sums = below.astype(np.float64) @ w
-        np.greater_equal(sums, thetas, out=out, casting="unsafe")
-        return out
-    for sig, idxs in groups.items():
-        sums = _group_sum(below, sig)
-        thetas = np.fromiter((gates[i].theta for i in idxs), dtype=np.int64, count=len(idxs))
-        cols = np.asarray(idxs, dtype=np.intp)
-        out[:, cols] = sums[:, None] >= thetas[None, :]
-    return out
+
+    dtype: np.dtype
+    theta: np.ndarray
+    group: np.ndarray | None
+    matrix: np.ndarray | None
+    supports: tuple
 
 
-def eval_bulk(c: LayeredCircuit, bits: np.ndarray) -> np.ndarray:
-    """Top-gate outputs for a (m, n) 0/1 matrix of assignments."""
-    if bits.ndim != 2 or bits.shape[1] != c.n:
-        raise ValueError(f"expected a (m, {c.n}) bit matrix, got {bits.shape}")
-    values = bits
-    for layer in c.layers:
-        values = _eval_layer(layer, values)
-    return values[:, c.top]
+@dataclass(frozen=True)
+class Plan:
+    """A circuit compiled for bulk evaluation.
+
+    class_of[v] is the variable class of 0-based variable v, classes
+    numbered in order of their first variable, and sizes[j] the size of
+    class j.  classes is layer 1 reading class counts in place of bits; it
+    is set only when the classes compress (8 * len(sizes) <= n).
+    """
+
+    n: int
+    top: int
+    layers: tuple[LayerPlan, ...]
+    class_of: np.ndarray
+    sizes: np.ndarray
+    classes: LayerPlan | None
+
+
+def _sum_form(sigs: list, width: int, dtype: np.dtype) -> tuple[np.ndarray | None, tuple]:
+    """(matrix, supports) computing the sums of the signatures sigs."""
+    gather_cost = sum(len(sig) for sig in sigs)
+    if width * (_DENSE_ADVANTAGE + len(sigs)) <= _DENSE_ADVANTAGE * gather_cost:
+        matrix = np.zeros((width, len(sigs)), dtype=dtype)
+        rows = [p for sig in sigs for p, _ in sig]
+        cols = [j for j, sig in enumerate(sigs) for _ in sig]
+        matrix[rows, cols] = np.array([w for sig in sigs for _, w in sig], dtype=dtype)
+        return matrix, ()
+    supports = []
+    for sig in sigs:
+        positions = [p for p, _ in sig]
+        start, stop = positions[0], positions[-1] + 1
+        if stop - start == len(positions):
+            idx = slice(start, stop)
+        else:
+            idx = np.asarray(positions, dtype=np.intp)
+        wts = None
+        if any(w != 1 for _, w in sig):
+            wts = np.array([w for _, w in sig], dtype=dtype)
+        supports.append((idx, wts))
+    return None, tuple(supports)
+
+
+def _compile_layer(gates: tuple[ThresholdGate, ...], width: int) -> tuple[LayerPlan, list]:
+    """The layer's plan and its distinct supports in column order."""
+    columns: dict[tuple, int] = {}
+    group = [columns.setdefault(g.inputs, len(columns)) for g in gates]
+    sigs = list(columns)
+    fanins = [sum(w for _, w in sig) for sig in sigs]
+    dtype = _arithmetic(max(fanins) + 1)
+    theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)
+    matrix, supports = _sum_form(sigs, width, dtype)
+    # with every support distinct, setdefault numbered gate g's column g
+    grouped = None if len(sigs) == len(gates) else np.asarray(group, dtype=np.intp)
+    return LayerPlan(dtype, theta, grouped, matrix, supports), sigs
+
+
+def compile_circuit(c: LayeredCircuit) -> Plan:
+    """Compile c once for eval_bulk, the workers and the class sampler."""
+    first, sigs = _compile_layer(c.layers[0], c.n)
+    rest = tuple(
+        _compile_layer(gates, len(below))[0] for below, gates in zip(c.layers, c.layers[1:])
+    )
+    # a variable's weight column into layer 1, as (support, weight) pairs
+    var_columns: list[list[tuple[int, int]]] = [[] for _ in range(c.n)]
+    for j, sig in enumerate(sigs):
+        for p, w in sig:
+            var_columns[p].append((j, w))
+    ids: dict[tuple, int] = {}
+    class_of = np.fromiter(
+        (ids.setdefault(tuple(col), len(ids)) for col in var_columns), dtype=np.intp, count=c.n
+    )
+    sizes = np.bincount(class_of, minlength=len(ids))
+    classes = None
+    if _CLASS_COMPRESSION * len(ids) <= c.n:
+        # every member of a class sits in the same supports with the same
+        # weight, so a support's sum is its classes' counts times weights
+        class_sigs: list[list[tuple[int, int]]] = [[] for _ in sigs]
+        for cls, col in enumerate(ids):
+            for j, w in col:
+                class_sigs[j].append((cls, w))
+        matrix, supports = _sum_form(class_sigs, len(ids), first.dtype)
+        classes = dataclasses.replace(first, matrix=matrix, supports=supports)
+    return Plan(c.n, c.top, (first, *rest), class_of, sizes, classes)
+
+
+def _fire(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
+    """0/1 outputs of a compiled layer on a batch of rows."""
+    if lp.matrix is not None:
+        sums = rows.astype(lp.dtype) @ lp.matrix
+    else:
+        sums = np.empty((rows.shape[0], len(lp.supports)), dtype=lp.dtype)
+        for j, (idx, wts) in enumerate(lp.supports):
+            cols = rows[:, idx]
+            if wts is None:
+                sums[:, j] = cols.sum(axis=1, dtype=lp.dtype)
+            else:
+                sums[:, j] = cols.astype(lp.dtype) @ wts
+    if lp.group is not None:
+        sums = sums.take(lp.group, axis=1)
+    return np.greater_equal(sums, lp.theta).view(np.uint8)
+
+
+def _run(plan: Plan, rows: np.ndarray, first: LayerPlan) -> np.ndarray:
+    """Top-gate outputs, with layer 1 compiled as `first` reading rows."""
+    values = _fire(first, rows)
+    for lp in plan.layers[1:]:
+        values = _fire(lp, values)
+    return values[:, plan.top]
+
+
+def eval_bulk(c: LayeredCircuit | Plan, bits: np.ndarray) -> np.ndarray:
+    """Top-gate outputs for a (m, n) 0/1 matrix of assignments.
+
+    c is a circuit or its compile_circuit plan; pass the plan when
+    evaluating many batches.
+    """
+    plan = c if isinstance(c, Plan) else compile_circuit(c)
+    if bits.ndim != 2 or bits.shape[1] != plan.n:
+        raise ValueError(f"expected a (m, {plan.n}) bit matrix, got {bits.shape}")
+    return _run(plan, bits, plan.layers[0])
+
+
+def eval_counts(plan: Plan, counts: np.ndarray) -> np.ndarray:
+    """Top-gate outputs for a (m, C) matrix of ones per variable class.
+
+    Equal to eval_bulk on any bit row with those counts.  Only for plans
+    whose classes compress.
+    """
+    if plan.classes is None:
+        raise ValueError("the circuit's variable classes do not compress")
+    if counts.ndim != 2 or counts.shape[1] != len(plan.sizes):
+        raise ValueError(f"expected a (m, {len(plan.sizes)}) count matrix, got {counts.shape}")
+    return _run(plan, counts, plan.classes)
+
+
+def _bits_of(vals: np.ndarray, n: int) -> np.ndarray:
+    """Bit rows of uint64 values, x1 the most significant bit."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
@@ -106,19 +250,18 @@ def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
             f"n={c.n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}; "
             "use verify_minmax or estimate_agreement"
         )
-    out = np.empty(2**c.n, dtype=np.uint8)
-    for start, bits in _index_chunks(c.n, chunk):
-        out[start : start + bits.shape[0]] = eval_bulk(c, bits)
+    plan = compile_circuit(c)
+    total = 2**c.n
+    out = np.empty(total, dtype=np.uint8)
+    for start in range(0, total, chunk):
+        vals = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        out[start : start + len(vals)] = eval_bulk(plan, _bits_of(vals, c.n))
     return out
 
 
-def _index_chunks(n: int, chunk: int) -> Iterator[tuple[int, np.ndarray]]:
-    shifts = (n - 1 - np.arange(n, dtype=np.uint64)).astype(np.uint64)
-    total = 2**n
-    for start in range(0, total, chunk):
-        vals = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        yield start, bits
+def _chunk_sizes(total: int, chunk: int) -> list[tuple[int, int]]:
+    """(size, index) of each chunk when total rows are cut into chunks."""
+    return [(min(chunk, total - start), index) for index, start in enumerate(range(0, total, chunk))]
 
 
 @dataclass(frozen=True)
@@ -172,8 +315,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _tally(bits: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    weights = bits.sum(axis=1, dtype=np.int64)
+def _tally(rows: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked and wrong counts by weight; rows are bits or class counts,
+    so either way a row's sum is its input weight."""
+    weights = rows.sum(axis=1, dtype=np.int64)
     truth = weights >= majority_threshold(n)
     wrong = outs.astype(bool) != truth
     checked = np.bincount(weights, minlength=n + 1)
@@ -192,7 +337,7 @@ def _merge_counts(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[d
     return cd, ed, int(checked.sum()), int(errors.sum())
 
 
-# Worker processes receive the circuit once at pool start-up and read it
+# Worker processes receive the compiled plan once at pool start-up and read it
 # from this module-level slot; job tuples then stay tiny.  Results come back
 # through pool.map, which preserves job order, so the merged report cannot
 # depend on scheduling.
@@ -220,33 +365,35 @@ def _run_chunks(fn: Callable, jobs: list, workers: int, ctx: dict) -> list:
 
 
 def _work_exhaustive(job):
-    c = _WORK_CTX["circuit"]
-    start, stop, chunk_n = job
-    shifts = (chunk_n - 1 - np.arange(chunk_n, dtype=np.uint64)).astype(np.uint64)
-    vals = np.arange(start, stop, dtype=np.uint64)
-    bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return _tally(bits, eval_bulk(c, bits), chunk_n)
+    plan = _WORK_CTX["plan"]
+    start, stop = job
+    bits = _bits_of(np.arange(start, stop, dtype=np.uint64), plan.n)
+    return _tally(bits, eval_bulk(plan, bits), plan.n)
 
 
 def _work_layer_exact(job):
-    c = _WORK_CTX["circuit"]
+    plan = _WORK_CTX["plan"]
     bits = job
-    return _tally(bits, eval_bulk(c, bits), c.n)
+    return _tally(bits, eval_bulk(plan, bits), plan.n)
 
 
 def _work_layer_sample(job):
-    c = _WORK_CTX["circuit"]
+    plan = _WORK_CTX["plan"]
     w, size, index = job
-    bits = sample_layer_chunk(c.n, w, size, _WORK_CTX["seed"], index)
-    return _tally(bits, eval_bulk(c, bits), c.n)
+    seed = _WORK_CTX["seed"]
+    if plan.classes is None:
+        bits = sample_layer_chunk(plan.n, w, size, seed, index)
+        return _tally(bits, eval_bulk(plan, bits), plan.n)
+    counts = sample_class_counts(plan.sizes, w, size, seed, index)
+    return _tally(counts, eval_counts(plan, counts), plan.n)
 
 
 def _work_agreement(job):
-    c = _WORK_CTX["circuit"]
+    plan = _WORK_CTX["plan"]
     size, index = job
-    rng = philox(_WORK_CTX["seed"], "agreement", c.n, index)
-    bits = rng.integers(0, 2, size=(size, c.n), dtype=np.uint8)
-    return _tally(bits, eval_bulk(c, bits), c.n)
+    rng = philox(_WORK_CTX["seed"], "agreement", plan.n, index)
+    bits = rng.integers(0, 2, size=(size, plan.n), dtype=np.uint8)
+    return _tally(bits, eval_bulk(plan, bits), plan.n)
 
 
 def verify_all(
@@ -263,8 +410,8 @@ def verify_all(
             "use verify_minmax or estimate_agreement"
         )
     total = 2**c.n
-    jobs = [(s, min(s + chunk, total), c.n) for s in range(0, total, chunk)]
-    parts = _run_chunks(_work_exhaustive, jobs, workers, {"circuit": c})
+    jobs = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    parts = _run_chunks(_work_exhaustive, jobs, workers, {"plan": compile_circuit(c)})
     cd, ed, total, errs = _merge_counts(c.n, parts)
     return VerificationReport("exhaustive", total, errs, cd, ed)
 
@@ -299,17 +446,14 @@ def layer_size(n: int, w: int) -> int:
 
 
 def _layer_chunks_exact(n: int, w: int, chunk: int) -> Iterator[np.ndarray]:
-    shifts = (n - 1 - np.arange(n, dtype=np.uint64)).astype(np.uint64)
     buf: list[int] = []
     for v in _layer_values(n, w):
         buf.append(v)
         if len(buf) == chunk:
-            vals = np.array(buf, dtype=np.uint64)
-            yield ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+            yield _bits_of(np.array(buf, dtype=np.uint64), n)
             buf = []
     if buf:
-        vals = np.array(buf, dtype=np.uint64)
-        yield ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        yield _bits_of(np.array(buf, dtype=np.uint64), n)
 
 
 def _bounded_uniform_rows(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.ndarray:
@@ -357,16 +501,25 @@ def sample_layer_chunk(n: int, w: int, count: int, seed: int, chunk_index: int) 
     return np.ascontiguousarray(bits.T)
 
 
+def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_index: int) -> np.ndarray:
+    """Class counts of count exact-uniform weight-w samples, as a (count, C) matrix.
+
+    Row r holds the ones a uniform weight-w assignment puts in each class of
+    the given sizes, a multivariate hypergeometric draw.  numpy's "count"
+    method deals the w ones by an integer Fisher-Yates shuffle over exact
+    bounded integers, so the law is exact (its "marginals" method is faster
+    but rests on floating-point hypergeometric draws).  The chunk owns
+    stream (seed, "classes", n, w, index) regardless of which worker runs it.
+    """
+    rng = philox(seed, "classes", int(sizes.sum()), w, chunk_index)
+    return rng.multivariate_hypergeometric(sizes, w, size=count, method="count")
+
+
 def sample_layer(n: int, w: int, count: int, seed: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
-    done = 0
-    index = 0
-    while done < count:
-        size = min(chunk, count - done)
+    for size, index in _chunk_sizes(count, chunk):
         yield sample_layer_chunk(n, w, size, seed, index)
-        done += size
-        index += 1
 
 
 def verify_minmax(
@@ -382,7 +535,8 @@ def verify_minmax(
 
     With samples=None both layers are enumerated exhaustively (subject to
     cap).  Otherwise each layer gets `samples` exact-uniform draws using the
-    given seed.  n=1 has no weight-0..-1 layer below the threshold; the
+    given seed, as class counts when the circuit's variable classes
+    compress and as bit rows otherwise.  n=1 has no weight-0..-1 layer below the threshold; the
     lower layer is skipped when empty.
     """
     n = c.n
@@ -397,24 +551,18 @@ def verify_minmax(
             )
         if n > 64:
             raise CapExceeded("exact layer enumeration supports n up to 64")
+        plan = compile_circuit(c)
         parts = []
         for w in layers:
             jobs = list(_layer_chunks_exact(n, w, chunk))
-            parts += _run_chunks(_work_layer_exact, jobs, workers, {"circuit": c})
+            parts += _run_chunks(_work_layer_exact, jobs, workers, {"plan": plan})
         cd, ed, total, errs = _merge_counts(n, parts)
         return VerificationReport("layers", total, errs, cd, ed)
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    jobs = []
-    for w in layers:
-        done = 0
-        index = 0
-        while done < samples:
-            size = min(chunk, samples - done)
-            jobs.append((w, size, index))
-            done += size
-            index += 1
-    parts = _run_chunks(_work_layer_sample, jobs, workers, {"circuit": c, "seed": seed})
+    jobs = [(w, size, index) for w in layers for size, index in _chunk_sizes(samples, chunk)]
+    ctx = {"plan": compile_circuit(c), "seed": seed}
+    parts = _run_chunks(_work_layer_sample, jobs, workers, ctx)
     cd, ed, total, errs = _merge_counts(n, parts)
     return VerificationReport("sample", total, errs, cd, ed, seed=seed)
 
@@ -436,15 +584,8 @@ def estimate_agreement(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    jobs = []
-    done = 0
-    index = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        jobs.append((size, index))
-        done += size
-        index += 1
-    parts = _run_chunks(_work_agreement, jobs, workers, {"circuit": c, "seed": seed})
+    jobs = _chunk_sizes(samples, chunk)
+    parts = _run_chunks(_work_agreement, jobs, workers, {"plan": compile_circuit(c), "seed": seed})
     cd, ed, total, errs = _merge_counts(c.n, parts)
     half = math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
     return VerificationReport("sample", total, errs, cd, ed, seed=seed, ci_halfwidth=half)

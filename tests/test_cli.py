@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from majcirc import search
 from majcirc.cli import main
 from majcirc.construct import (
     CorrelationParams,
@@ -181,6 +182,23 @@ def test_search_cnf_no_solve_writes_files(tmp_path, capsys):
     assert (tmp_path / "maj-n3-k3.cnf").exists()
     assert (tmp_path / "maj-n3-k3.varmap").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_search_cnf_files_match_the_library_layout(tmp_path, capsys):
+    cli_dir, lib_dir = tmp_path / "cli" / "nested", tmp_path / "lib"
+    rc = main(["search", "--n", "4", "--k", "3", "--no-solve", "--out-dir", str(cli_dir)])
+    assert rc == 0
+    instance = search.encode(search.SearchSpaceSpec(n=4, k=3))
+    assert capsys.readouterr().out == (
+        f"wrote {cli_dir / 'maj-n4-k3.cnf'} "
+        f"({instance.num_vars} vars, {len(instance.clauses)} clauses)\n"
+    )
+    search.solve_spec(search.SearchSpaceSpec(n=4, k=3), keep_files=lib_dir)
+    names = sorted(p.name for p in cli_dir.iterdir())
+    assert names == ["maj-n4-k3.cnf", "maj-n4-k3.varmap"]
+    assert names == sorted(p.name for p in lib_dir.iterdir())
+    for name in names:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
 
 
 def test_search_cnf_end_to_end(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Gate evaluation, circuit evaluation, and the text format."""
 
 import itertools
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from majcirc.core import (
     CircuitParseError,
     LayeredCircuit,
     ThresholdGate,
-    circuit_function,
     eval_circuit,
     eval_gate,
     eval_layers,
@@ -232,6 +232,11 @@ def test_eval_circuit_rejects_wrong_arity():
     c = published_circuit("n7")
     with pytest.raises(ValueError):
         eval_circuit(c, Assignment((1, 0, 1)))
+
+
+def circuit_function(c: LayeredCircuit) -> Callable[[Assignment], int]:
+    """Closure form of eval_circuit."""
+    return lambda a: eval_circuit(c, a)
 
 
 def test_circuit_function_closure():

@@ -1,13 +1,19 @@
 """The built-in CDCL solver against brute force, and its DIMACS front end."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import majcirc.sat
 from majcirc.sat import EXIT_SAT, EXIT_UNSAT, Solver, luby, main, parse_dimacs, solve
+
+SAT_SCRIPT = majcirc.sat.__file__
 
 
 def satisfied(table, clause):
@@ -158,3 +164,31 @@ def test_main_output_and_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     err = capsys.readouterr()
     assert err.out == "" and "not a literal" in err.err
+
+
+def _run_script(cnf, stdout):
+    return subprocess.Popen(
+        [sys.executable, str(SAT_SCRIPT), str(cnf)], stdout=stdout, stderr=subprocess.PIPE
+    )
+
+
+def test_script_ignores_a_reader_that_closes_early(tmp_path):
+    # a pipe whose reader is gone before the verdict is written
+    unsat_cnf = tmp_path / "unsat.cnf"
+    unsat_cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _run_script(unsat_cnf, write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_UNSAT, b"")
+
+    # `| head -1`: the model is larger than a pipe buffer, so the solver
+    # is still writing when the reader stops after the first line
+    sat_cnf = tmp_path / "sat.cnf"
+    sat_cnf.write_text("p cnf 40000 1\n1 0\n")
+    proc = _run_script(sat_cnf, subprocess.PIPE)
+    assert proc.stdout.readline() == b"s SATISFIABLE\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (EXIT_SAT, b"")

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majcirc.construct import (
     BlockParams,
@@ -14,24 +16,31 @@ from majcirc.construct import (
     build_block_circuit,
     build_correlation,
     build_depth3,
+    default_block_params,
     published_circuit,
 )
+from majcirc import verify
 from majcirc.core import (
     Assignment,
     LayeredCircuit,
     ThresholdGate,
     eval_circuit,
     majority_gate,
+    majority_threshold,
     majority_value,
+    parse_circuit,
 )
 from majcirc.verify import (
     CapExceeded,
     colex_rank,
     colex_unrank,
+    compile_circuit,
     enumerate_layer,
     estimate_agreement,
     eval_bulk,
+    eval_counts,
     layer_size,
+    sample_class_counts,
     sample_layer,
     truth_table,
     verify_all,
@@ -59,6 +68,66 @@ def test_eval_bulk_matches_scalar_eval():
     out = eval_bulk(c, rows)
     for row, o in zip(rows, out):
         assert int(o) == eval_circuit(c, Assignment(tuple(int(v) for v in row)))
+
+
+def test_eval_bulk_is_exact_past_float64_precision():
+    # 2^53 + 1 is not a float64, so a float64 sum of 11 reads 2^53 + 2 - 1
+    c = parse_circuit(
+        "majcirc 1\nn 2 k 9007199254740994 depth 1\n"
+        "gate 1:0 theta 9007199254740994 : x1*9007199254740993 x2*1\ntop g1:0\n"
+    )
+    rows = np.array([[1, 1], [1, 0], [0, 1]], dtype=np.uint8)
+    assert eval_bulk(c, rows).tolist() == [1, 0, 0]
+    assert compile_circuit(c).layers[0].dtype == np.int64
+
+
+# Weight ranges whose largest fan-in plus one (at most 6 inputs) falls in
+# each arithmetic tier: float32, float64, int64 and Python integers.
+TIERS = [
+    (1, 3, np.float32),
+    (2**24, 2**47, np.float64),
+    (2**53, 2**59, np.int64),
+    (2**63, 2**80, object),
+]
+
+
+@st.composite
+def tiered_circuits(draw):
+    lo, hi, dtype = draw(st.sampled_from(TIERS))
+    n = draw(st.integers(1, 6))
+    layers = []
+    width = n
+    for _ in range(draw(st.integers(1, 3))):
+        gates = []
+        for _ in range(draw(st.integers(1, 4))):
+            support = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+            weights = [draw(st.integers(lo, hi)) for _ in support]
+            # thresholds at a subset sum plus -1, 0 or 1 land where rounding
+            # would flip a comparison; others fall anywhere, outside 0..fanin too
+            picked = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+            near = sum(w for w, on in zip(weights, picked) if on) + draw(st.integers(-1, 1))
+            theta = draw(st.one_of(st.just(near), st.integers(-3, sum(weights) + 3)))
+            gates.append(ThresholdGate(tuple(zip(support, weights)), theta))
+        layers.append(tuple(gates))
+        width = len(gates)
+    k = max(g.fanin for layer in layers for g in layer)
+    top = draw(st.integers(0, width - 1))
+    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top), dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiered_circuits())
+def test_eval_bulk_matches_eval_layers_in_every_tier(case):
+    c, dtype = case
+    rows = np.array(list(itertools.product((0, 1), repeat=c.n)), dtype=np.uint8)
+    expect = [eval_circuit(c, Assignment(tuple(int(v) for v in row))) for row in rows]
+    for advantage in (0, math.inf):  # all gather sums, then all dense products
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_DENSE_ADVANTAGE", advantage)
+            plan = compile_circuit(c)
+        assert plan.layers[0].dtype == dtype
+        assert all((lp.matrix is not None) == bool(advantage) for lp in plan.layers)
+        assert eval_bulk(plan, rows).tolist() == expect
 
 
 def test_truth_table_single_gate():
@@ -247,6 +316,138 @@ def test_verify_minmax_worker_count_does_not_change_the_report():
     base = verify_minmax(c, samples=300, seed=5, workers=1).to_json()
     assert verify_minmax(c, samples=300, seed=5, workers=2).to_json() == base
     assert verify_minmax(c, samples=300, seed=5, workers=4).to_json() == base
+
+
+# -- variable classes ---------------------------------------------------------
+
+
+def test_class_compression_rule():
+    block = compile_circuit(build_block_circuit(default_block_params(4096)))
+    assert block.sizes.tolist() == [256] * 16 and block.classes is not None
+    depth3 = compile_circuit(build_depth3(Depth3Params(b=3)))
+    assert depth3.sizes.tolist() == [18] * 3 and depth3.classes is not None
+    # the published circuits read every variable differently
+    n9 = compile_circuit(published_circuit("n9"))
+    assert len(n9.sizes) == 9 and n9.classes is None
+    corr = compile_circuit(build_correlation(CorrelationParams(n=41, k=9, seed=3)))
+    assert 8 * len(corr.sizes) > 41 and corr.classes is None
+    with pytest.raises(ValueError, match="do not compress"):
+        eval_counts(n9, np.zeros((1, 9), dtype=np.int64))
+    # variables no gate reads form one class of their own
+    idle = LayeredCircuit(n=16, k=2, layers=((ThresholdGate(((0, 1), (1, 1)), 1),),), top=0)
+    assert compile_circuit(idle).sizes.tolist() == [2, 14]
+
+
+def expand_counts(plan, counts, rng):
+    """One bit row per count row: c_j ones on random members of class j."""
+    bits = np.zeros((len(counts), plan.n), dtype=np.uint8)
+    members = [np.flatnonzero(plan.class_of == j) for j in range(len(plan.sizes))]
+    for row, cnt in zip(bits, counts):
+        for m, c in zip(members, cnt):
+            row[rng.choice(m, size=c, replace=False)] = 1
+    return bits
+
+
+def weighted_block_circuit() -> LayeredCircuit:
+    """Four blocks of 8 read with block-dependent weights, some gates
+    spanning two blocks, pooled by a weighted top gate."""
+    blocks = [range(8 * b, 8 * b + 8) for b in range(4)]
+    bottom = []
+    for b, block in enumerate(blocks):
+        for m in (3, 5, 9):
+            bottom.append(ThresholdGate(tuple((v, b + 1) for v in block), m * (b + 1) // 2))
+    pair = tuple((v, 1) for v in blocks[0]) + tuple((v, 3) for v in blocks[1])
+    bottom += [ThresholdGate(pair, 14), ThresholdGate(pair, 17)]
+    top = ThresholdGate(tuple((g, 1 + g % 2) for g in range(len(bottom))), 11)
+    k = max(g.fanin for g in bottom + [top])
+    return LayeredCircuit(n=32, k=k, layers=(tuple(bottom), (top,)), top=0)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        build_block_circuit(BlockParams(n=64, p=8, window_t=2)),
+        build_depth3(Depth3Params(b=2)),
+        build_depth3(Depth3Params(b=3)),
+        weighted_block_circuit(),
+    ],
+    ids=["block64-window2", "depth3-b2", "depth3-b3", "weighted-blocks"],
+)
+def test_class_counts_evaluate_like_their_bit_rows(circuit):
+    plan = compile_circuit(circuit)
+    assert plan.classes is not None
+    rng = np.random.default_rng(0)
+    w_min = majority_threshold(circuit.n)
+    outs = []
+    for w in (w_min, w_min - 1):
+        counts = sample_class_counts(plan.sizes, w, 500, seed=4, chunk_index=0)
+        assert (counts.sum(axis=1) == w).all() and (counts <= plan.sizes).all()
+        out = eval_counts(plan, counts)
+        assert out.tolist() == eval_bulk(circuit, expand_counts(plan, counts, rng)).tolist()
+        outs.append(out)
+    assert 0 < np.concatenate(outs).sum() < 2 * len(outs[0])  # both outputs occur
+
+
+def test_class_counts_follow_the_hypergeometric_law():
+    sizes = compile_circuit(build_block_circuit(BlockParams(n=12, p=4, window_t=2))).sizes
+    n, w, draws = 12, 6, 30000
+    counts = np.concatenate([sample_class_counts(sizes, w, 10000, seed=2, chunk_index=i) for i in range(3)])
+    seen: dict[tuple, int] = {}
+    for row in counts.tolist():
+        seen[tuple(row)] = seen.get(tuple(row), 0) + 1
+    cells = [c for c in itertools.product(range(5), repeat=3) if sum(c) == w]
+    assert len(cells) == 19 and set(seen) <= set(cells)
+    chi2 = 0.0
+    for cell in cells:
+        pmf = math.prod(math.comb(int(s), c) for s, c in zip(sizes, cell)) / math.comb(n, w)
+        chi2 += (seen.get(cell, 0) - draws * pmf) ** 2 / (draws * pmf)
+    assert chi2 < 42.31  # chi-square, 18 degrees of freedom, p = 0.001
+
+
+def test_sampled_class_path_matches_exact_error_rate():
+    c = build_block_circuit(BlockParams(n=16, p=8, window_t=2))
+    exact = verify_minmax(c)
+    sampled = verify_minmax(c, samples=20000, seed=6)
+    for w in (7, 8):
+        p = float(exact.error_fraction(w))
+        sd = math.sqrt(p * (1 - p) / 20000)
+        assert abs(float(sampled.error_fraction(w)) - p) <= 5 * sd + 1e-9
+    assert verify_minmax(c, samples=3000, seed=6, workers=2, chunk=700).to_json() == (
+        verify_minmax(c, samples=3000, seed=6, chunk=700).to_json()
+    )
+
+
+# Reports of circuits whose classes do not compress, as computed before
+# class sampling existed: they must keep their draws byte for byte.
+PINNED_REPORTS = {
+    "minmax-n9": '{"mode": "sample", "total_checked": 6000, "errors": 0, "agreement": "1", '
+    '"checked_by_weight": {"4": 3000, "5": 3000}, "errors_by_weight": {}, "seed": 5}',
+    "agree-n9": '{"mode": "sample", "total_checked": 3000, "errors": 0, "agreement": "1", '
+    '"checked_by_weight": {"0": 5, "1": 55, "2": 223, "3": 446, "4": 761, "5": 742, "6": 501, '
+    '"7": 214, "8": 43, "9": 10}, "errors_by_weight": {}, "seed": 5, '
+    '"ci_halfwidth": 0.02971620592243688}',
+    "minmax-corr41": '{"mode": "sample", "total_checked": 6000, "errors": 2487, '
+    '"agreement": "1171/2000", "checked_by_weight": {"20": 3000, "21": 3000}, '
+    '"errors_by_weight": {"20": 1226, "21": 1261}, "seed": 5}',
+    "agree-corr41": '{"mode": "sample", "total_checked": 3000, "errors": 563, '
+    '"agreement": "2437/3000", "checked_by_weight": {"12": 6, "13": 25, "14": 59, "15": 100, '
+    '"16": 138, "17": 205, "18": 269, "19": 338, "20": 366, "21": 361, "22": 330, "23": 275, '
+    '"24": 218, "25": 143, "26": 85, "27": 47, "28": 23, "29": 8, "30": 3, "31": 1}, '
+    '"errors_by_weight": {"16": 7, "17": 16, "18": 35, "19": 93, "20": 142, "21": 141, '
+    '"22": 80, "23": 33, "24": 13, "25": 3}, "seed": 5, "ci_halfwidth": 0.02971620592243688}',
+}
+
+
+def test_non_compressing_circuits_keep_their_draws():
+    circuits = {
+        "n9": published_circuit("n9"),
+        "corr41": build_correlation(CorrelationParams(n=41, k=9, seed=3)),
+    }
+    for name, c in circuits.items():
+        got = verify_minmax(c, samples=3000, seed=5, chunk=1000).to_json()
+        assert got == PINNED_REPORTS[f"minmax-{name}"]
+        got = estimate_agreement(c, 3000, 5, chunk=1000).to_json()
+        assert got == PINNED_REPORTS[f"agree-{name}"]
 
 
 # -- random-input agreement --------------------------------------------------
