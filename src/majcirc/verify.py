@@ -13,9 +13,9 @@ Three regimes:
 Every verify_* call compiles its circuit once (compile_circuit) into a Plan
 that each worker receives once.  Per layer the Plan holds the distinct
 weighted supports (one dense weight matrix or one gather per support), each
-gate's support column and threshold, and the arithmetic: the first of
-float32, float64, int64 and Python integers that holds every value the
-layer compares, so every sum is exact.
+gate's support column and threshold, and the arithmetic: float32 when it
+holds every value the layer compares (all circuits the package builds),
+else int64, else Python integers, so every sum is exact.
 
 Variables whose weight columns into layer 1 are identical form a variable
 class; only the number of ones in each class matters to the circuit.  When
@@ -64,10 +64,10 @@ _DENSE_ADVANTAGE = 16
 _CLASS_COMPRESSION = 8
 
 # Arithmetic by the largest value a layer compares: integers are exact up
-# to 2^24 in float32 and 2^53 in float64.  Every term of a sum is
+# to 2^24 in float32, whose products run on BLAS.  Every term of a sum is
 # nonnegative, so no partial sum exceeds the full one in any order of
 # addition.
-_TIERS = ((2**24, np.float32), (2**53, np.float64), (2**63 - 1, np.int64))
+_TIERS = ((2**24, np.float32), (2**63 - 1, np.int64))
 
 
 class CapExceeded(ValueError):
@@ -105,16 +105,15 @@ class LayerPlan:
 class Plan:
     """A circuit compiled for bulk evaluation.
 
-    class_of[v] is the variable class of 0-based variable v, classes
-    numbered in order of their first variable, and sizes[j] the size of
-    class j.  classes is layer 1 reading class counts in place of bits; it
-    is set only when the classes compress (8 * len(sizes) <= n).
+    Variables with identical weight columns into layer 1 form a class,
+    classes numbered in order of their first variable; sizes[j] is the size
+    of class j.  classes is layer 1 reading class counts in place of bits;
+    it is set only when the classes compress (8 * len(sizes) <= n).
     """
 
     n: int
     top: int
     layers: tuple[LayerPlan, ...]
-    class_of: np.ndarray
     sizes: np.ndarray
     classes: LayerPlan | None
 
@@ -169,9 +168,7 @@ def compile_circuit(c: LayeredCircuit) -> Plan:
         for p, w in sig:
             var_columns[p].append((j, w))
     ids: dict[tuple, int] = {}
-    class_of = np.fromiter(
-        (ids.setdefault(tuple(col), len(ids)) for col in var_columns), dtype=np.intp, count=c.n
-    )
+    class_of = [ids.setdefault(tuple(col), len(ids)) for col in var_columns]
     sizes = np.bincount(class_of, minlength=len(ids))
     classes = None
     if _CLASS_COMPRESSION * len(ids) <= c.n:
@@ -183,7 +180,7 @@ def compile_circuit(c: LayeredCircuit) -> Plan:
                 class_sigs[j].append((cls, w))
         matrix, supports = _sum_form(class_sigs, len(ids), first.dtype)
         classes = dataclasses.replace(first, matrix=matrix, supports=supports)
-    return Plan(c.n, c.top, (first, *rest), class_of, sizes, classes)
+    return Plan(c.n, c.top, (first, *rest), sizes, classes)
 
 
 def _fire(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
