@@ -29,6 +29,7 @@ from .core import (
     LayeredCircuit,
     ThresholdGate,
     gate_diff,
+    majority_gate,
     majority_threshold,
 )
 from .verify import CapExceeded, truth_table
@@ -272,13 +273,7 @@ def _as_truth_table(f: BoolFn, l: int) -> np.ndarray:
             raise ValueError(f"circuit has n={f.n}, expected {l}")
         return truth_table(f)
     if isinstance(f, ThresholdGate):
-        vals = np.arange(2**l, dtype=np.uint64)
-        sums = np.zeros(2**l, dtype=np.int64)
-        for pos, w in f.inputs:
-            if pos >= l:
-                raise ValueError(f"gate reads x{pos + 1} but only {l} variables exist")
-            sums += w * ((vals >> np.uint64(l - 1 - pos)) & 1).astype(np.int64)
-        return (sums >= f.theta).astype(np.uint8)
+        return truth_table(LayeredCircuit(n=l, k=f.fanin, layers=((f,),), top=0))
     if callable(f):
         out = np.empty(2**l, dtype=np.uint8)
         for v in range(2**l):
@@ -294,11 +289,7 @@ def _as_truth_table(f: BoolFn, l: int) -> np.ndarray:
 def majority_truth_table(l: int) -> np.ndarray:
     if l > BRUTE_FORCE_CAP:
         raise CapExceeded(f"l={l} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    vals = np.arange(2**l, dtype=np.uint64)
-    weights = np.zeros(2**l, dtype=np.int64)
-    for i in range(l):
-        weights += ((vals >> np.uint64(i)) & 1).astype(np.int64)
-    return (weights >= majority_threshold(l)).astype(np.uint8)
+    return truth_table(LayeredCircuit(n=l, k=l, layers=((majority_gate(range(l)),),), top=0))
 
 
 def boundary_size(f: BoolFn, l: int) -> int:

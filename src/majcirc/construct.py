@@ -19,6 +19,7 @@ tight for the family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,18 +40,11 @@ DEFAULT_ALPHA = 3.0
 
 @dataclass(frozen=True)
 class CorrelationParams:
-    """n variables, k gates of k distinct variables each, seeded subset draw.
-
-    alpha, beta, gamma are optional diagnostic constants recorded with the
-    parameters (they play no role in construction).
-    """
+    """n variables, k gates of k distinct variables each, seeded subset draw."""
 
     n: int
     k: int
     seed: int
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -256,6 +250,10 @@ def build_depth3(params: Depth3Params) -> LayeredCircuit:
     )
 
 
+# middle_window_weights runs once per input: build each circuit once
+_depth3_once = functools.lru_cache(maxsize=8)(build_depth3)
+
+
 def middle_window_weights(params: Depth3Params, a: Assignment) -> tuple[int, ...]:
     """Weights of the strided re-blocks on the layer-1 output for input a.
 
@@ -263,8 +261,7 @@ def middle_window_weights(params: Depth3Params, a: Assignment) -> tuple[int, ...
     middle_window(params); this is the invariant that makes the narrow
     middle layer sufficient.
     """
-    circuit = build_depth3(params)
-    layer1 = eval_layers(circuit, a)[0]
+    layer1 = eval_layers(_depth3_once(params), a)[0]
     return tuple(sum(layer1[pos] for pos in y) for y in depth3_y_blocks(params))
 
 

@@ -607,11 +607,7 @@ def _candidate_rows(spec: SearchSpaceSpec) -> list[tuple[int, ...]]:
 
 def estimate_space(spec: SearchSpaceSpec) -> int:
     """Number of non-decreasing k-tuples of candidate gates."""
-    rows = sum(
-        1
-        for vec in product(range(spec.multiplicity_max + 1), repeat=spec.n)
-        if sum(vec) == spec.k
-    )
+    rows = len(_candidate_rows(spec))
     cands = rows if spec.standard_thresholds else rows * spec.k
     return math.comb(cands + spec.k - 1, spec.k)
 

@@ -29,6 +29,13 @@ later layers and the tally are unchanged.  The rule depends only on the
 circuit.  Circuits that do not compress (published, correlation) keep the
 bit sampler and its draws.
 
+Every exhaustive job (verify_all, exact verify_minmax, truth_table) is a
+rank range that the worker decodes itself: a range of the 2^n input values,
+or a range of colex ranks of one weight layer, unranked in vectorized numpy.
+No job holds more than its own chunk, so memory is O(chunk) whatever the
+cap.  Reports are counts by weight, so they do not depend on the order of
+enumeration either.
+
 All bulk evaluation goes through one chunked vectorized engine.  Chunks own
 their randomness (one derived stream per chunk index), and results are
 merged in chunk order, so every report is byte-identical no matter how many
@@ -47,7 +54,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import Assignment, LayeredCircuit, ThresholdGate, majority_threshold
+from .core import LayeredCircuit, ThresholdGate, majority_threshold
 from ._rand import philox
 
 DEFAULT_CHUNK = 8192
@@ -233,10 +240,33 @@ def eval_counts(plan: Plan, counts: np.ndarray) -> np.ndarray:
     return _run(plan, counts, plan.classes)
 
 
-def _bits_of(vals: np.ndarray, n: int) -> np.ndarray:
-    """Bit rows of uint64 values, x1 the most significant bit."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+def _rows(n: int, w: int | None, lo: int, hi: int) -> np.ndarray:
+    """Bit rows lo..hi-1 of an exhaustive sweep, x1 the most significant bit.
+
+    With w None the rows are the values lo..hi-1 of all 2^n inputs.  With
+    an integer w they are ranks lo..hi-1 of the weight-w layer in colex
+    order, which is ascending value: the value with ones at bits
+    p_w > ... > p_1 (bit 0 least significant) has rank sum C(p_j, j), so
+    p_j is the largest p with C(p, j) no more than what remains of the
+    rank.  Every C(p, j) with p < n <= 64 fits int64.
+    """
+    if w is None:
+        vals = np.arange(lo, hi, dtype=np.uint64)
+    else:
+        vals = np.zeros(hi - lo, dtype=np.uint64)
+        ranks = np.arange(lo, hi, dtype=np.int64)
+        for j in range(w, 0, -1):
+            comb = np.array([math.comb(p, j) for p in range(n)], dtype=np.int64)
+            p = np.searchsorted(comb, ranks, side="right") - 1
+            vals |= np.uint64(1) << p.astype(np.uint64)
+            ranks -= comb[p]
+    bits = np.unpackbits(vals.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    return np.ascontiguousarray(bits[:, 64 - n :])
+
+
+def _chunks(total: int, chunk: int) -> list[tuple[int, int, int]]:
+    """(index, lo, hi) of each chunk when total rows are cut into chunks."""
+    return [(index, lo, min(lo + chunk, total)) for index, lo in enumerate(range(0, total, chunk))]
 
 
 def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
@@ -248,17 +278,7 @@ def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
             "use verify_minmax or estimate_agreement"
         )
     plan = compile_circuit(c)
-    total = 2**c.n
-    out = np.empty(total, dtype=np.uint8)
-    for start in range(0, total, chunk):
-        vals = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        out[start : start + len(vals)] = eval_bulk(plan, _bits_of(vals, c.n))
-    return out
-
-
-def _chunk_sizes(total: int, chunk: int) -> list[tuple[int, int]]:
-    """(size, index) of each chunk when total rows are cut into chunks."""
-    return [(min(chunk, total - start), index) for index, start in enumerate(range(0, total, chunk))]
+    return np.concatenate([eval_bulk(plan, _rows(c.n, None, lo, hi)) for _, lo, hi in _chunks(2**c.n, chunk)])
 
 
 @dataclass(frozen=True)
@@ -361,35 +381,28 @@ def _run_chunks(fn: Callable, jobs: list, workers: int, ctx: dict) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _work_exhaustive(job):
+def _work_rows(job):
     plan = _WORK_CTX["plan"]
-    start, stop = job
-    bits = _bits_of(np.arange(start, stop, dtype=np.uint64), plan.n)
-    return _tally(bits, eval_bulk(plan, bits), plan.n)
-
-
-def _work_layer_exact(job):
-    plan = _WORK_CTX["plan"]
-    bits = job
-    return _tally(bits, eval_bulk(plan, bits), plan.n)
+    rows = _rows(plan.n, *job)
+    return _tally(rows, eval_bulk(plan, rows), plan.n)
 
 
 def _work_layer_sample(job):
     plan = _WORK_CTX["plan"]
-    w, size, index = job
+    w, index, lo, hi = job
     seed = _WORK_CTX["seed"]
     if plan.classes is None:
-        bits = sample_layer_chunk(plan.n, w, size, seed, index)
+        bits = sample_layer_chunk(plan.n, w, hi - lo, seed, index)
         return _tally(bits, eval_bulk(plan, bits), plan.n)
-    counts = sample_class_counts(plan.sizes, w, size, seed, index)
+    counts = sample_class_counts(plan.sizes, w, hi - lo, seed, index)
     return _tally(counts, eval_counts(plan, counts), plan.n)
 
 
 def _work_agreement(job):
     plan = _WORK_CTX["plan"]
-    size, index = job
+    index, lo, hi = job
     rng = philox(_WORK_CTX["seed"], "agreement", plan.n, index)
-    bits = rng.integers(0, 2, size=(size, plan.n), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(hi - lo, plan.n), dtype=np.uint8)
     return _tally(bits, eval_bulk(plan, bits), plan.n)
 
 
@@ -406,51 +419,13 @@ def verify_all(
             f"n={c.n} exceeds the exhaustive cap {cap}; "
             "use verify_minmax or estimate_agreement"
         )
-    total = 2**c.n
-    jobs = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    parts = _run_chunks(_work_exhaustive, jobs, workers, {"plan": compile_circuit(c)})
+    jobs = [(None, lo, hi) for _, lo, hi in _chunks(2**c.n, chunk)]
+    parts = _run_chunks(_work_rows, jobs, workers, {"plan": compile_circuit(c)})
     cd, ed, total, errs = _merge_counts(c.n, parts)
     return VerificationReport("exhaustive", total, errs, cd, ed)
 
 
-# -- weight-layer enumeration and sampling ----------------------------------
-
-
-def enumerate_layer(n: int, w: int) -> Iterator[Assignment]:
-    """All weight-w assignments in ascending order of the integer whose most
-    significant bit is x1."""
-    for v in _layer_values(n, w):
-        yield Assignment(tuple((v >> (n - 1 - i)) & 1 for i in range(n)))
-
-
-def _layer_values(n: int, w: int) -> Iterator[int]:
-    if not 0 <= w <= n:
-        return
-    if w == 0:
-        yield 0
-        return
-    v = (1 << w) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        lo = v & -v
-        lz = v + lo
-        v = lz | (((v ^ lz) // lo) >> 2)
-
-
-def layer_size(n: int, w: int) -> int:
-    return math.comb(n, w)
-
-
-def _layer_chunks_exact(n: int, w: int, chunk: int) -> Iterator[np.ndarray]:
-    buf: list[int] = []
-    for v in _layer_values(n, w):
-        buf.append(v)
-        if len(buf) == chunk:
-            yield _bits_of(np.array(buf, dtype=np.uint64), n)
-            buf = []
-    if buf:
-        yield _bits_of(np.array(buf, dtype=np.uint64), n)
+# -- weight-layer sampling ---------------------------------------------------
 
 
 def _bounded_uniform_rows(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.ndarray:
@@ -515,8 +490,8 @@ def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_
 def sample_layer(n: int, w: int, count: int, seed: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
-    for size, index in _chunk_sizes(count, chunk):
-        yield sample_layer_chunk(n, w, size, seed, index)
+    for index, lo, hi in _chunks(count, chunk):
+        yield sample_layer_chunk(n, w, hi - lo, seed, index)
 
 
 def verify_minmax(
@@ -540,7 +515,7 @@ def verify_minmax(
     w_min = majority_threshold(n)
     layers = [w for w in (w_min, w_min - 1) if 0 <= w <= n]
     if samples is None:
-        need = sum(layer_size(n, w) for w in layers)
+        need = sum(math.comb(n, w) for w in layers)
         if need > cap:
             raise CapExceeded(
                 f"critical layers hold {need} assignments, over the cap {cap}; "
@@ -548,16 +523,13 @@ def verify_minmax(
             )
         if n > 64:
             raise CapExceeded("exact layer enumeration supports n up to 64")
-        plan = compile_circuit(c)
-        parts = []
-        for w in layers:
-            jobs = list(_layer_chunks_exact(n, w, chunk))
-            parts += _run_chunks(_work_layer_exact, jobs, workers, {"plan": plan})
+        jobs = [(w, lo, hi) for w in layers for _, lo, hi in _chunks(math.comb(n, w), chunk)]
+        parts = _run_chunks(_work_rows, jobs, workers, {"plan": compile_circuit(c)})
         cd, ed, total, errs = _merge_counts(n, parts)
         return VerificationReport("layers", total, errs, cd, ed)
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    jobs = [(w, size, index) for w in layers for size, index in _chunk_sizes(samples, chunk)]
+    jobs = [(w, *ch) for w in layers for ch in _chunks(samples, chunk)]
     ctx = {"plan": compile_circuit(c), "seed": seed}
     parts = _run_chunks(_work_layer_sample, jobs, workers, ctx)
     cd, ed, total, errs = _merge_counts(n, parts)
@@ -581,33 +553,8 @@ def estimate_agreement(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    jobs = _chunk_sizes(samples, chunk)
+    jobs = _chunks(samples, chunk)
     parts = _run_chunks(_work_agreement, jobs, workers, {"plan": compile_circuit(c), "seed": seed})
     cd, ed, total, errs = _merge_counts(c.n, parts)
     half = math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
     return VerificationReport("sample", total, errs, cd, ed, seed=seed, ci_halfwidth=half)
-
-
-# -- colex ranking utilities (small-n oracle for the samplers) --------------
-
-
-def colex_rank(ones: tuple[int, ...]) -> int:
-    """Rank of a strictly increasing tuple of one-positions in colex order."""
-    r = 0
-    for j, p in enumerate(sorted(ones), start=1):
-        r += math.comb(p, j)
-    return r
-
-
-def colex_unrank(n: int, w: int, rank: int) -> tuple[int, ...]:
-    """Inverse of colex_rank over 0-based position tuples of length w."""
-    if not 0 <= rank < math.comb(n, w):
-        raise ValueError(f"rank {rank} out of range for C({n},{w})")
-    ones = []
-    for j in range(w, 0, -1):
-        p = j - 1
-        while math.comb(p + 1, j) <= rank:
-            p += 1
-        ones.append(p)
-        rank -= math.comb(p, j)
-    return tuple(reversed(ones))

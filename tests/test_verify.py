@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,14 +34,12 @@ from majcirc.core import (
 )
 from majcirc.verify import (
     CapExceeded,
-    colex_rank,
-    colex_unrank,
+    _chunks,
+    _rows,
     compile_circuit,
-    enumerate_layer,
     estimate_agreement,
     eval_bulk,
     eval_counts,
-    layer_size,
     sample_class_counts,
     sample_layer,
     truth_table,
@@ -178,23 +178,102 @@ def test_verify_all_worker_count_does_not_change_the_report():
     assert verify_all(c, workers=2, chunk=17).to_json() == base
 
 
-# -- layer enumeration and sampling ------------------------------------------
+# -- rank-range enumeration ---------------------------------------------------
 
 
-def test_enumerate_layer_order():
-    got = [a.bits for a in enumerate_layer(3, 2)]
-    assert got == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+def colex_rank(ones: tuple[int, ...]) -> int:
+    """Rank of a strictly increasing tuple of one-positions in colex order."""
+    r = 0
+    for j, p in enumerate(sorted(ones), start=1):
+        r += math.comb(p, j)
+    return r
 
 
-def test_enumerate_layer_counts():
-    rows = list(enumerate_layer(7, 4))
-    assert len(rows) == math.comb(7, 4) == 35
-    assert len(set(rows)) == 35
-    assert all(a.weight == 4 for a in rows)
-    assert [a.bits for a in enumerate_layer(4, 0)] == [(0, 0, 0, 0)]
-    assert list(enumerate_layer(3, 5)) == []
-    assert layer_size(7, 4) == 35
-    assert layer_size(5, 0) == 1
+def colex_unrank(n: int, w: int, rank: int) -> tuple[int, ...]:
+    """Inverse of colex_rank over 0-based position tuples of length w."""
+    if not 0 <= rank < math.comb(n, w):
+        raise ValueError(f"rank {rank} out of range for C({n},{w})")
+    ones = []
+    for j in range(w, 0, -1):
+        p = j - 1
+        while math.comb(p + 1, j) <= rank:
+            p += 1
+        ones.append(p)
+        rank -= math.comb(p, j)
+    return tuple(reversed(ones))
+
+
+def test_colex_round_trip():
+    n, w = 8, 3
+    seen = set()
+    for rank in range(math.comb(n, w)):
+        ones = colex_unrank(n, w, rank)
+        assert colex_rank(ones) == rank
+        seen.add(ones)
+    assert len(seen) == math.comb(n, w)
+    assert colex_rank((0, 1, 2)) == 0
+    for i in range(6):
+        assert colex_rank((i,)) == i
+    with pytest.raises(ValueError):
+        colex_unrank(5, 2, 10)
+
+
+def layer_rows(n: int, w: int) -> list[tuple[int, ...]]:
+    """All weight-w rows of n bits in ascending value, x1 the top bit."""
+    rows = [tuple(int(i in ones) for i in range(n)) for ones in itertools.combinations(range(n), w)]
+    return sorted(rows, key=lambda bits: int("".join(map(str, bits)), 2))
+
+
+def test_rows_layer_order():
+    assert _rows(3, 2, 0, 3).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def test_rows_layer_counts():
+    rows = [tuple(r) for r in _rows(7, 4, 0, math.comb(7, 4)).tolist()]
+    assert len(rows) == len(set(rows)) == 35
+    assert all(sum(r) == 4 for r in rows)
+    assert _rows(4, 0, 0, math.comb(4, 0)).tolist() == [[0, 0, 0, 0]]
+    # a layer above n is empty: no chunks, no rows
+    assert _chunks(math.comb(3, 5), 8) == []
+    assert _rows(3, 5, 0, 0).shape == (0, 3)
+
+
+def test_rows_match_combinations_up_to_n12():
+    for n in range(1, 13):
+        for w in range(n + 1):
+            got = [tuple(r) for r in _rows(n, w, 0, math.comb(n, w)).tolist()]
+            assert got == layer_rows(n, w), (n, w)
+        sweep = _rows(n, None, 0, 2**n).tolist()
+        assert [tuple(r) for r in sweep] == list(itertools.product((0, 1), repeat=n))
+
+
+def test_rows_agree_with_colex_unrank_up_to_n64():
+    def ones_of(row):
+        # bit p counted from the least significant end, i.e. from x_n
+        return tuple(sorted(len(row) - 1 - i for i, v in enumerate(row) if v))
+
+    rng = random.Random(1)
+    cases = [(64, 32, math.comb(64, 32) - 5), (64, 1, 60), (64, 63, 60), (64, 0, 0)]
+    for _ in range(40):
+        n = rng.randint(1, 64)
+        w = rng.randint(0, n)
+        cases.append((n, w, rng.randrange(math.comb(n, w))))
+    for n, w, lo in cases:
+        hi = min(lo + 5, math.comb(n, w))
+        for rank, row in zip(range(lo, hi), _rows(n, w, lo, hi).tolist()):
+            assert ones_of(row) == colex_unrank(n, w, rank), (n, w, rank)
+    last = _rows(64, 32, math.comb(64, 32) - 1, math.comb(64, 32))
+    assert last.tolist() == [[1] * 32 + [0] * 32]
+
+
+def test_chunks_tile_a_layer_once():
+    n, w = 11, 5
+    total = math.comb(n, w)
+    chunks = _chunks(total, 37)
+    assert [index for index, _, _ in chunks] == list(range(len(chunks)))
+    assert all(hi - lo == 37 for _, lo, hi in chunks[:-1])
+    tiled = np.concatenate([_rows(n, w, lo, hi) for _, lo, hi in chunks])
+    assert [tuple(r) for r in tiled.tolist()] == layer_rows(n, w)
 
 
 def test_sample_layer_shapes_and_weights():
@@ -218,28 +297,13 @@ def test_sample_layer_deterministic():
 def test_sample_layer_is_roughly_uniform():
     n, w, count = 6, 3, 4000
     rows = np.concatenate(list(sample_layer(n, w, count, seed=11)))
-    keys = {a.bits: 0 for a in enumerate_layer(n, w)}
+    keys = {bits: 0 for bits in layer_rows(n, w)}
     for row in rows:
         keys[tuple(int(v) for v in row)] += 1
     assert len(keys) == 20
     expected = count / 20
     for got in keys.values():
         assert abs(got - expected) < 90  # ~6.5 standard deviations
-
-
-def test_colex_round_trip():
-    n, w = 8, 3
-    seen = set()
-    for rank in range(math.comb(n, w)):
-        ones = colex_unrank(n, w, rank)
-        assert colex_rank(ones) == rank
-        seen.add(ones)
-    assert len(seen) == math.comb(n, w)
-    assert colex_rank((0, 1, 2)) == 0
-    for i in range(6):
-        assert colex_rank((i,)) == i
-    with pytest.raises(ValueError):
-        colex_unrank(5, 2, 10)
 
 
 # -- critical-layer verification ---------------------------------------------
@@ -309,6 +373,19 @@ def test_verify_minmax_sampled_sees_errors():
 def test_verify_minmax_exact_cap():
     with pytest.raises(CapExceeded, match="sampled mode"):
         verify_minmax(single_majority(24), cap=10**4)
+
+
+def test_verify_minmax_exact_memory_stays_per_chunk():
+    # 705432 rows of 21 bits; holding them at once would take over 14 MB
+    c = single_majority(21)
+    tracemalloc.start()
+    try:
+        report = verify_minmax(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total_checked == 2 * math.comb(21, 11) and report.errors == 0
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_verify_minmax_worker_count_does_not_change_the_report():
