@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -275,11 +276,9 @@ def _as_truth_table(f: BoolFn, l: int) -> np.ndarray:
     if isinstance(f, ThresholdGate):
         return truth_table(LayeredCircuit(n=l, k=f.fanin, layers=((f,),), top=0))
     if callable(f):
-        out = np.empty(2**l, dtype=np.uint8)
-        for v in range(2**l):
-            bits = tuple((v >> (l - 1 - i)) & 1 for i in range(l))
-            out[v] = 1 if f(Assignment(bits)) else 0
-        return out
+        # product varies the first bit slowest, so x1 is the top bit
+        values = (1 if f(Assignment(bits)) else 0 for bits in product((0, 1), repeat=l))
+        return np.fromiter(values, dtype=np.uint8, count=2**l)
     tt = np.asarray(f, dtype=np.uint8)
     if tt.shape != (2**l,):
         raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")

@@ -8,7 +8,12 @@ gates under a fixed standard-majority top gate:
   majcirc.sat (selector variables per gate/variable/multiplicity level,
   sequential-counter cardinality, unary comparisons per constraint
   assignment), plus a decoder that rebuilds the circuit from a model and
-  always re-verifies it;
+  always re-verifies it.  Clauses are held as one int32 matrix, a clause
+  per row padded with 0.  Constraint assignments of one weight get the
+  same block of clauses up to the selectors it reads and where its own
+  variables start, so each run of them records the block once over
+  placeholder selectors and numpy replicates it; the DIMACS bytes are
+  those of building every clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
   with minterm/maxterm pruning.
 
@@ -32,7 +37,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,6 +55,8 @@ from .verify import verify_all
 
 DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
+# clause rows formatted per write in CnfInstance.write_dimacs
+_DIMACS_BATCH = 2**16
 
 # solver executables probed on PATH, in order, when none is configured
 SOLVER_CANDIDATES = ("varisat", "kissat", "cadical", "cryptominisat5", "glucose", "minisat")
@@ -147,16 +154,53 @@ def _constraint_assignments(spec: SearchSpaceSpec) -> list[tuple[tuple[int, ...]
 
 
 class _CnfBuilder:
-    def __init__(self):
-        self.num_vars = 0
-        self.clauses: list[list[int]] = []
+    """Fresh variables after num_vars, and the clauses added since the last
+    take()."""
+
+    def __init__(self, num_vars: int = 0):
+        self.num_vars = num_vars
+        self.clauses: list[tuple[int, ...]] = []
 
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
 
     def add(self, *lits: int) -> None:
-        self.clauses.append(list(lits))
+        self.clauses.append(lits)
+
+    def take(self) -> np.ndarray:
+        """The pending clauses as a 0-padded int32 matrix, one per row."""
+        rows, self.clauses = self.clauses, []
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        out = np.zeros((len(rows), int(lengths.max(initial=0))), dtype=np.int32)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int32
+        )
+        return out
+
+
+def _replicate(block: np.ndarray, base: int, slots: np.ndarray, nvars: int) -> np.ndarray:
+    """One copy of a recorded block per row of slots, stacked.
+
+    The block was recorded with codes: up to base the real variables, then
+    slots.shape[1] placeholders that copy a takes from its row of slots,
+    then the block's own nvars variables, which copy a moves to
+    base + a*nvars + 1 onwards.
+    """
+    count, width = slots.shape
+    table = np.empty((count, 1 + width + nvars), dtype=np.int32)
+    table[:, 0] = 0
+    table[:, 1 : 1 + width] = slots
+    table[:, 1 + width :] = (
+        base + nvars * np.arange(count, dtype=np.int32)[:, None]
+        + np.arange(1, nvars + 1, dtype=np.int32)
+    )
+    mag = np.abs(block)
+    fixed = mag <= base
+    out = table[:, np.where(fixed, 0, mag - base)]
+    np.copyto(out, mag, where=fixed)
+    out *= np.sign(block)
+    return out.reshape(-1, block.shape[1])
 
 
 def _counter_cells(b: _CnfBuilder, lits: Sequence[int], qmax: int) -> list[int]:
@@ -212,13 +256,23 @@ class CnfInstance:
     and gates 0-based here, levels from 1).  thr, in full-threshold mode,
     maps (gate, q) to "threshold at least q".  Every other CNF variable is
     an auxiliary counter or indicator cell.
+
+    clauses is an (m, width) int32 matrix holding one clause per row, its
+    literals first and 0 after them (0 is never a literal in DIMACS), so
+    len(clauses) is the clause count and width the longest clause.  The
+    per_assignment rows are one recorded block per run of same-weight
+    constraint assignments, replicated with numpy; write_dimacs writes
+    the same bytes as emitting every clause on its own.  sections counts
+    the clauses of each part of the encoding, in file order: ladders,
+    exactly_k, per_assignment and symmetry.
     """
 
     spec: SearchSpaceSpec
     num_vars: int
-    clauses: list[list[int]]
+    clauses: np.ndarray
     sel: dict[tuple[int, int, int], int]
     thr: dict[tuple[int, int], int]
+    sections: dict[str, int]
 
     def write_files(self, directory: str | Path) -> Path:
         """Write maj-n<n>-k<k>.cnf and its .varmap sidecar into directory,
@@ -231,10 +285,17 @@ class CnfInstance:
         return base / f"{stem}.cnf"
 
     def write_dimacs(self, path: str | Path) -> None:
+        """Write the DIMACS file, _DIMACS_BATCH clause rows per format call,
+        so the transient Python ints stay bounded by the batch, not the
+        clause count."""
+        templates = ["%d " * length + "0\n" for length in range(self.clauses.shape[1] + 1)]
         with open(path, "w") as fh:
             fh.write(f"p cnf {self.num_vars} {len(self.clauses)}\n")
-            for cl in self.clauses:
-                fh.write(" ".join(str(l) for l in cl) + " 0\n")
+            for lo in range(0, len(self.clauses), _DIMACS_BATCH):
+                batch = self.clauses[lo : lo + _DIMACS_BATCH]
+                lengths = np.count_nonzero(batch, axis=1).tolist()
+                fmt = "".join([templates[length] for length in lengths])
+                fh.write(fmt % tuple(batch[batch != 0].tolist()))
 
     def write_varmap(self, path: str | Path) -> None:
         """Sidecar mapping CNF variables back to circuit structure.
@@ -318,6 +379,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             for q in range(2, k + 1):
                 b.add(-thr[(g, q)], thr[(g, q - 1)])
             b.add(thr[(g, 1)])
+    ladders = b.take()
 
     def gate_lits(g: int) -> list[int]:
         return [sel[(g, i, j)] for i in range(n) for j in range(1, mult + 1)]
@@ -335,39 +397,56 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             b.add(cells[k - 1])
             if k + 1 <= len(cells):
                 b.add(-cells[k])
+    exactly_k = b.take()
 
-    # per-assignment gate outputs and the fixed top majority
+    # per-assignment gate outputs and the fixed top majority.  The blocks of
+    # a run of same-weight assignments differ only in the selectors they
+    # read and where their own variables start, so the run records one
+    # block over placeholder selectors and replicates it.
+    sel_ids = np.array(list(sel.values()), dtype=np.int32).reshape(k, n, mult)
     theta = spec.theta
-    for ones, value in _constraint_assignments(spec):
+    per_assignment = []
+    runs = groupby(_constraint_assignments(spec), key=lambda pair: (len(pair[0]), pair[1]))
+    for (w, value), run in runs:
+        ones = np.array([o for o, _ in run], dtype=np.intp)
+        base = b.num_vars
+        blk = _CnfBuilder(base + k * w * mult)
+        # placeholder[g] stands for gate g's selectors of the assignment's
+        # ones, by one-position then level
+        placeholder = np.arange(base + 1, blk.num_vars + 1).reshape(k, w * mult).tolist()
         outs = []
         for g in range(k):
-            lits = [sel[(g, i, j)] for i in ones for j in range(1, mult + 1)]
-            o = b.new_var()
+            lits = placeholder[g]
+            o = blk.new_var()
             outs.append(o)
             if spec.standard_thresholds:
                 if len(lits) < theta:
-                    b.add(-o)
+                    blk.add(-o)
                 else:
-                    cells = _counter_cells(b, lits, theta)
-                    b.add(-o, cells[theta - 1])
-                    b.add(o, -cells[theta - 1])
+                    cells = _counter_cells(blk, lits, theta)
+                    blk.add(-o, cells[theta - 1])
+                    blk.add(o, -cells[theta - 1])
             else:
-                cells = _counter_cells(b, lits, min(k, len(lits)))
+                cells = _counter_cells(blk, lits, min(k, len(lits)))
                 for q in range(1, k + 1):
                     tq = thr[(g, q)]
                     if q <= len(cells):
                         # fires -> sum reaches every level up to the threshold
-                        b.add(-o, -tq, cells[q - 1])
+                        blk.add(-o, -tq, cells[q - 1])
                         # threshold exactly q and sum short of q -> silent
                         above = [thr[(g, q + 1)]] if q + 1 <= k else []
-                        b.add(o, -tq, *above, -cells[q - 1])
+                        blk.add(o, -tq, *above, -cells[q - 1])
                     else:
-                        b.add(-o, -tq)
-        top = _counter_cells(b, outs, spec.theta_top)
+                        blk.add(-o, -tq)
+        top = _counter_cells(blk, outs, spec.theta_top)
         if value:
-            b.add(top[spec.theta_top - 1])
+            blk.add(top[spec.theta_top - 1])
         else:
-            b.add(-top[spec.theta_top - 1])
+            blk.add(-top[spec.theta_top - 1])
+        nvars = blk.num_vars - base - k * w * mult
+        slots = sel_ids[:, ones, :].transpose(1, 0, 2, 3).reshape(len(ones), -1)
+        per_assignment.append(_replicate(blk.take(), base, slots, nvars))
+        b.num_vars += len(ones) * nvars
 
     # rows in lexicographically non-decreasing order over the flattened
     # selector vectors; sound because the top gate is symmetric in the rows
@@ -392,7 +471,23 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
                     b.add(-prefix_eq, ap, cp, e)
                 prefix_eq = e
 
-    return CnfInstance(spec, b.num_vars, b.clauses, sel, thr)
+    symmetry = b.take()
+
+    parts = [ladders, exactly_k, *per_assignment, symmetry]
+    clauses = np.zeros(
+        (sum(len(m) for m in parts), max(m.shape[1] for m in parts)), dtype=np.int32
+    )
+    row = 0
+    for m in parts:
+        clauses[row : row + len(m), : m.shape[1]] = m
+        row += len(m)
+    sections = {
+        "ladders": len(ladders),
+        "exactly_k": len(exactly_k),
+        "per_assignment": sum(len(m) for m in per_assignment),
+        "symmetry": len(symmetry),
+    }
+    return CnfInstance(spec, b.num_vars, clauses, sel, thr, sections)
 
 
 # -- models and decoding ----------------------------------------------------

@@ -4,12 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majcirc.analyze import (
     BRUTE_FORCE_CAP,
+    _as_truth_table,
     HypergeomParams,
     KillCost,
     WalkConfig,
@@ -276,6 +278,18 @@ def test_influence_accepts_callables_and_gates():
     assert influence(gate, 3) == Fraction(3, 2)
     xor = lambda a: a.weight % 2
     assert influence(xor, 4) == 4  # every edge is a boundary edge
+
+
+def test_callable_truth_table_matches_the_circuit_branch():
+    for l in range(1, 10):
+        circuit = LayeredCircuit(n=l, k=l, layers=((majority_gate(range(l)),),), top=0)
+        by_callable = _as_truth_table(lambda a: majority_value(a), l)
+        assert by_callable.dtype == np.uint8
+        assert np.array_equal(by_callable, _as_truth_table(circuit, l))
+    # a weighted gate is not symmetric, so this also pins x1 as the top bit
+    gate = ThresholdGate(((0, 3), (1, 1), (3, 1)), theta=3)
+    weighted = lambda a: 3 * a.bits[0] + a.bits[1] + a.bits[3] >= 3
+    assert np.array_equal(_as_truth_table(weighted, 4), _as_truth_table(gate, 4))
 
 
 def test_influence_equals_boundary_over_cube_size():

@@ -1,8 +1,12 @@
 """CNF and exhaustive search over gate spaces, plus the fooling adversary."""
 
+import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from majcirc.construct import (
@@ -17,9 +21,11 @@ from majcirc.core import (
     ThresholdGate,
     eval_circuit,
     majority_gate,
+    majority_threshold,
     majority_value,
     standard_theta,
 )
+import majcirc.search as search_mod
 from majcirc.search import (
     BUILTIN_SOLVER,
     CnfInstance,
@@ -46,16 +52,19 @@ def row_multiset(c: LayeredCircuit):
     return sorted((g.inputs, g.theta) for g in c.layers[0])
 
 
-def pin_rows(instance: CnfInstance, vectors) -> list[list[int]]:
-    """Unit clauses forcing gate g to carry multiplicity vectors[g]."""
+def pin_rows(instance: CnfInstance, vectors) -> np.ndarray:
+    """Unit clauses forcing gate g to carry multiplicity vectors[g], as rows
+    of the instance's clause matrix."""
     spec = instance.spec
     units = []
     for g, vec in enumerate(vectors):
         for i in range(spec.n):
             for j in range(1, spec.multiplicity_max + 1):
                 var = instance.sel[(g, i, j)]
-                units.append([var] if vec[i] >= j else [-var])
-    return units
+                units.append(var if vec[i] >= j else -var)
+    rows = np.zeros((len(units), instance.clauses.shape[1]), dtype=np.int32)
+    rows[:, 0] = units
+    return rows
 
 
 # -- the search space --------------------------------------------------------
@@ -204,6 +213,115 @@ def test_varmap_lists_threshold_vars_in_full_mode(tmp_path: Path):
     assert len(tlines) == 3 * 3  # gates * threshold levels 1..k
 
 
+# sha256 of write_dimacs, num_vars and clause count, computed with the
+# list-of-lists encoder that built each clause on its own; the grid reaches
+# every encoder branch
+DIMACS_GOLDEN = [
+    (dict(n=3, k=3), "15cf004328312a23da25ebbc99e12c23a163d51c82689483e5ca6fd2a5892c0f", 220, 635),
+    (dict(n=5, k=3), "531c919590ab1db45826b59fac234e600c71ec076e7e351ed2b35ea77b647c47", 850, 2623),
+    (dict(n=7, k=5), "2c520c46de26b8ca197f2433db594adff345b1ba365ea2a7b794502ac13fba58", 7957, 26755),
+    (dict(n=4, k=2, multiplicity_max=1), "a1ae6c5fff5bf2b9e4871169435e8abcac0855578cdbd8380b3bba9367cced07", 101, 248),
+    (dict(n=3, k=3, standard_thresholds=False), "d3c793b6b2c9d0cddd3bbc5738e894b5b29d7fbb7fad0b7b9adebd64bbf60106", 247, 770),
+    (dict(n=4, k=3, standard_thresholds=False, constraint_set="all_inputs"), "2679170fa9c35bcd747291631783b94236079136cdd96a7bfe82a08b79de6cf4", 694, 2319),
+    (dict(n=4, k=3, constraint_set="all_inputs"), "d50f48fe26165d557cc697d12d69a259faf50653d59b11240b2cf8171be672b1", 583, 1761),
+    (dict(n=5, k=5, distinct_only=True, multiplicity_max=1), "798cdffdfdbacd414147e97e021bd3c4e44febff9323b13993eefe9e5ab6f1cb", 756, 2177),
+    (dict(n=3, k=3, symmetry_breaking=False), "0431bfaddde031144ecff997599ae9f9c17918fbe5e358d03673b295b4c47b2c", 210, 603),
+    (dict(n=5, k=5, multiplicity_max=1, standard_thresholds=False, symmetry_breaking=False), "4efe7879716c333776a5ab6802592b7820a3be1c889e1943b93a5c92750321c3", 915, 3150),
+    # weight*multiplicity < theta on every constraint, and k > n*multiplicity
+    (dict(n=3, k=5, multiplicity_max=1), "181478e79aac4679092f8f300b7f02a126ffc9eaa65bf1d066d95d6ef61d19bb", 160, 404),
+    (dict(n=2, k=5, constraint_set="all_inputs"), "cdad5ec97d60f6471eaad3f4b20b81175e4e05a1a7e930a3028e8ea352b3c310", 200, 554),
+    (dict(n=1, k=1), "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c", 11, 25),
+    (dict(n=9, k=7), "009846da290dbed59952d425ae13ff224b48f4b1d27bc62e988f51e6fa99a567", 61268, 215387),
+]
+GOLDEN_IDS = ["-".join(f"{key}={val}" for key, val in kw.items()) for kw, *_ in DIMACS_GOLDEN]
+
+
+@pytest.mark.parametrize("kw, digest, num_vars, num_clauses", DIMACS_GOLDEN, ids=GOLDEN_IDS)
+def test_dimacs_bytes_are_pinned(kw, digest, num_vars, num_clauses, tmp_path: Path):
+    spec = SearchSpaceSpec(**kw)
+    instance = encode(spec)
+    path = tmp_path / "golden.cnf"
+    instance.write_dimacs(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert (instance.num_vars, len(instance.clauses)) == (num_vars, num_clauses)
+    assert instance.clauses.dtype == np.int32
+    n, k, mult = spec.n, spec.k, spec.multiplicity_max
+    # selectors take the low ids gate by gate, then the threshold levels
+    assert instance.sel == {
+        (g, i, j): 1 + (g * n + i) * mult + j - 1
+        for g in range(k) for i in range(n) for j in range(1, mult + 1)
+    }
+    assert instance.thr == (
+        {} if spec.standard_thresholds
+        else {(g, q): k * n * mult + g * k + q for g in range(k) for q in range(1, k + 1)}
+    )
+
+
+def counter_clauses(length: int, qmax: int) -> int:
+    """Exact clause count of the sequential counter over length literals:
+    per cell 2 or 3 clauses on the first level, 3 or 4 above it, the larger
+    when the cell has a predecessor in the previous column."""
+    total = 0
+    for r in range(1, length + 1):
+        for q in range(1, min(r, qmax) + 1):
+            has_up = q <= min(r - 1, qmax)
+            total += (3 if has_up else 2) if q == 1 else (4 if has_up else 3)
+    return total
+
+
+def block_clauses(spec: SearchSpaceSpec, w: int) -> int:
+    """Clauses of one weight-w constraint assignment."""
+    k, r = spec.k, w * spec.multiplicity_max
+    if spec.standard_thresholds:
+        per_gate = 1 if r < spec.theta else counter_clauses(r, spec.theta) + 2
+    else:
+        cells = min(k, r)
+        per_gate = counter_clauses(r, cells) + 2 * cells + (k - cells)
+    return k * per_gate + counter_clauses(k, spec.theta_top) + 1
+
+
+@pytest.mark.parametrize("kw", [kw for kw, *_ in DIMACS_GOLDEN], ids=GOLDEN_IDS)
+def test_sections_count_each_part(kw):
+    spec = SearchSpaceSpec(**kw)
+    instance = encode(spec)
+    n, k, mult = spec.n, spec.k, spec.multiplicity_max
+    length = n * mult
+    if spec.constraint_set == "minmax":
+        layers = [majority_threshold(n), majority_threshold(n) - 1]
+    else:
+        layers = range(n + 1)
+    assert instance.sections == {
+        "ladders": k * n * (mult - 1) + (0 if spec.standard_thresholds else k * k),
+        "exactly_k": k * (counter_clauses(length, k + 1) + (1 if k == length else 2)),
+        "per_assignment": sum(math.comb(n, w) * block_clauses(spec, w) for w in layers),
+        "symmetry": (k - 1) * (3 * length - 2) if spec.symmetry_breaking else 0,
+    }
+    assert sum(instance.sections.values()) == len(instance.clauses)
+
+
+def test_encoding_memory_is_the_clause_matrix(tmp_path: Path, monkeypatch):
+    """encode holds about 16 bytes per clause, and write_dimacs's transient
+    memory is set by its batch size, not by the clause count."""
+    spec = SearchSpaceSpec(n=9, k=7)
+    batch = 2**12
+    monkeypatch.setattr(search_mod, "_DIMACS_BATCH", batch)
+    tracemalloc.start()
+    try:
+        instance = encode(spec)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        instance.write_dimacs(tmp_path / "batched.cnf")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20
+    # at most 4 literals a row and under 100 bytes of Python objects each
+    assert len(instance.clauses) > 50 * batch
+    assert peak < batch * instance.clauses.shape[1] * 100
+    digest = hashlib.sha256((tmp_path / "batched.cnf").read_bytes()).hexdigest()
+    assert digest == DIMACS_GOLDEN[-1][1]
+
+
 # -- solver output parsing ---------------------------------------------------
 
 
@@ -339,7 +457,9 @@ def test_published_rows_live_in_the_default_space(tag, tmp_path: Path):
             vec[v - 1] += 1
         vectors.append(tuple(vec))
     vectors.sort()  # symmetry breaking orders the gates
-    instance.clauses.extend(pin_rows(instance, vectors))
+    instance = replace(
+        instance, clauses=np.vstack([instance.clauses, pin_rows(instance, vectors)])
+    )
     cnf = tmp_path / "pinned.cnf"
     instance.write_dimacs(cnf)
     result = run_solver(cnf)
