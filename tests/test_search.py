@@ -25,7 +25,6 @@ from majcirc.core import (
     majority_value,
     standard_theta,
 )
-import majcirc.search as search_mod
 from majcirc.search import (
     BUILTIN_SOLVER,
     CnfInstance,
@@ -304,7 +303,7 @@ def test_encoding_memory_is_the_clause_matrix(tmp_path: Path, monkeypatch):
     memory is set by its batch size, not by the clause count."""
     spec = SearchSpaceSpec(n=9, k=7)
     batch = 2**12
-    monkeypatch.setattr(search_mod, "_DIMACS_BATCH", batch)
+    monkeypatch.setattr("majcirc.search._DIMACS_BATCH", batch)
     tracemalloc.start()
     try:
         instance = encode(spec)
