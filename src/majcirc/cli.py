@@ -124,15 +124,9 @@ def _cmd_construct(args, cfg: RunConfig) -> int:
             construct.CorrelationParams(n=args.n, k=args.k, seed=cfg.seed)
         )
     elif kind == "block":
-        if args.p is None or args.window is None:
-            params = construct.default_block_params(args.n, alpha=cfg.alpha)
-            if args.p is not None:
-                params = construct.BlockParams(args.n, args.p, params.window_t)
-            if args.window is not None:
-                params = construct.BlockParams(params.n, params.p, args.window)
-        else:
-            params = construct.BlockParams(args.n, args.p, args.window)
-        c = construct.build_block_circuit(params)
+        p = construct.default_block_params(args.n).p if args.p is None else args.p
+        window = construct.block_window(p, cfg.alpha) if args.window is None else args.window
+        c = construct.build_block_circuit(construct.BlockParams(args.n, p, window))
     else:
         c = construct.build_depth3(construct.Depth3Params(args.b))
     if args.out:
@@ -201,9 +195,7 @@ def _space_spec(args) -> search.SearchSpaceSpec:
         k=args.k,
         multiplicity_max=args.multiplicity,
         standard_thresholds=args.thresholds == "standard",
-        distinct_only=args.distinct,
         symmetry_breaking=not args.no_symmetry,
-        constraint_set=args.constraints,
     )
 
 
@@ -439,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--multiplicity", type=int, default=2)
         sp.add_argument("--thresholds", choices=("standard", "full"), default="standard")
-        sp.add_argument("--distinct", action="store_true")
         sp.add_argument("--no-symmetry", action="store_true")
-        sp.add_argument("--constraints", choices=("minmax", "all_inputs"), default="minmax")
         sp.add_argument("--out", help="circuit file for the result (default: stdout)")
     s.add_argument("--engine", choices=("cnf", "exhaustive"), default="cnf")
     s.add_argument("--solver", help="solver executable (default: MAJCIRC_SAT_SOLVER, PATH, "

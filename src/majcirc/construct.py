@@ -34,7 +34,7 @@ from .core import (
 )
 from ._rand import philox
 
-# window-size constant for default_block_params: window_t ~ alpha*sqrt(p ln p)
+# window-size constant for block_window: window_t ~ alpha*sqrt(p ln p)
 DEFAULT_ALPHA = 3.0
 
 
@@ -149,20 +149,22 @@ def _closer_to_cbrt_sq(n: int, d1: int, d2: int) -> int:
     return d1 if (d1 + d2) ** 3 >= 8 * sq else d2
 
 
-def default_block_params(n: int, alpha: float = DEFAULT_ALPHA) -> BlockParams:
-    """p = divisor of n nearest n^(2/3) (ties smaller); t ~ alpha*sqrt(p ln p).
+def block_window(p: int, alpha: float = DEFAULT_ALPHA) -> int:
+    """Window width ceil(alpha*sqrt(p ln p)) for blocks of p, clamped to 1..p
+    so the threshold range is never empty and never leaves 1..p."""
+    t = math.ceil(alpha * math.sqrt(p * math.log(p))) if p > 1 else 1
+    return max(1, min(p, t))
 
-    The window width is clamped to 1..p so the threshold range is never
-    empty and never leaves 1..p.
-    """
+
+def default_block_params(n: int, alpha: float = DEFAULT_ALPHA) -> BlockParams:
+    """p = divisor of n nearest n^(2/3) (ties smaller); t = block_window(p)."""
     if n < 1:
         raise ValueError("n must be positive")
     divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
     p = divisors[0]
     for d in divisors[1:]:
         p = _closer_to_cbrt_sq(n, p, d) if p < d else p
-    t = math.ceil(alpha * math.sqrt(p * math.log(p))) if p > 1 else 1
-    return BlockParams(n=n, p=p, window_t=max(1, min(p, t)))
+    return BlockParams(n=n, p=p, window_t=block_window(p, alpha))
 
 
 def pad_to_block_multiple(n: int, p: int) -> tuple[int, int, int]:

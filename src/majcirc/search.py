@@ -6,20 +6,20 @@ gates under a fixed standard-majority top gate:
 
 * a CNF encoding handed to a DIMACS SAT solver, external or the built-in
   majcirc.sat (selector variables per gate/variable/multiplicity level,
-  sequential-counter cardinality, unary comparisons per constraint
-  assignment), plus a decoder that rebuilds the circuit from a model and
-  always re-verifies it.  Clauses are held as one int32 matrix, a clause
-  per row padded with 0.  Constraint assignments of one weight get the
-  same block of clauses up to the selectors it reads and where its own
-  variables start, so each run of them records the block once over
-  placeholder selectors and numpy replicates it; the DIMACS bytes are
-  those of building every clause on its own;
+  sequential-counter cardinality, unary comparisons per critical input),
+  plus a decoder that rebuilds the circuit from a model and always
+  re-verifies it on all inputs.  Clauses are held as one int32 matrix, a
+  clause per row padded with 0.  The inputs of one critical layer get the
+  same block of clauses up to the selectors they read and where their
+  own variables start, so each layer records one block over placeholder
+  selectors and numpy replicates it; the DIMACS bytes are those of
+  building every clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
   with minterm/maxterm pruning.
 
 Because every candidate circuit is monotone, correctness on all minterms
-and maxterms of the majority implies correctness everywhere, which keeps
-both engines' constraint sets small.
+and maxterms of the majority implies correctness everywhere, so both
+engines constrain only these two critical layers (_critical_layers).
 
 The last section builds, for any depth-2 circuit of n-2 standard majority
 gates over n-2 distinct variables each, an explicit minterm the circuit
@@ -36,8 +36,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
-from itertools import chain, combinations, groupby, product
+from dataclasses import dataclass
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,19 +95,17 @@ class SearchSpaceSpec:
 
     standard_thresholds pins every bottom threshold to ceil((k+1)/2)... the
     least majority threshold for weight k; switching it off adds the
-    threshold itself (1..k per gate) to the search.  distinct_only forbids
-    repeated variables and forces multiplicity_max=1.  constraint_set
-    chooses the assignments constrained: the two critical weight layers
-    (sound for this monotone space) or all 2^n inputs.
+    threshold itself (1..k per gate) to the search.  multiplicity_max=1
+    forbids repeated variables.  symmetry_breaking orders the gate rows.
+    Every candidate is monotone, so the search constrains only the two
+    critical weight layers, and decode re-verifies on all 2^n inputs.
     """
 
     n: int
     k: int
     multiplicity_max: int = 2
     standard_thresholds: bool = True
-    distinct_only: bool = False
     symmetry_breaking: bool = True
-    constraint_set: str = "minmax"
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,10 +114,6 @@ class SearchSpaceSpec:
             raise ValueError("k must be positive")
         if self.multiplicity_max < 1:
             raise ValueError("multiplicity_max must be at least 1")
-        if self.distinct_only and self.multiplicity_max != 1:
-            raise ValueError("distinct_only requires multiplicity_max=1")
-        if self.constraint_set not in ("minmax", "all_inputs"):
-            raise ValueError(f"unknown constraint_set {self.constraint_set!r}")
 
     @property
     def theta(self) -> int:
@@ -131,23 +125,18 @@ class SearchSpaceSpec:
         return standard_theta(self.k)
 
 
-def _constraint_assignments(spec: SearchSpaceSpec) -> list[tuple[tuple[int, ...], int]]:
-    """(one-positions, required output) pairs the circuit is constrained on.
-
-    minmax: every minterm (weight ceil(n/2), output 1) and every maxterm
-    (one lighter, output 0).  all_inputs: everything.
-    """
-    n = spec.n
-    w1 = majority_threshold(n)
-    if spec.constraint_set == "minmax":
-        out = [(ones, 1) for ones in combinations(range(n), w1)]
-        out += [(ones, 0) for ones in combinations(range(n), w1 - 1)]
-        return out
-    pairs = []
-    for v in range(2**n):
-        ones = tuple(i for i in range(n) if (v >> (n - 1 - i)) & 1)
-        pairs.append((ones, int(len(ones) >= w1)))
-    return pairs
+def _critical_layers(n: int) -> list[tuple[np.ndarray, int]]:
+    """(ones, required output) per critical weight layer: the minterms
+    (weight ceil(n/2), output 1), then the maxterms (one lighter, output
+    0).  ones holds each input's one-positions as a row, in combinations
+    order."""
+    out = []
+    for w, value in ((majority_threshold(n), 1), (majority_threshold(n) - 1, 0)):
+        count = math.comb(n, w)
+        flat = chain.from_iterable(combinations(range(n), w))
+        ones = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+        out.append((ones, value))
+    return out
 
 
 # -- CNF construction -------------------------------------------------------
@@ -248,7 +237,7 @@ def _counter_cost(length: int, qmax: int) -> int:
 @dataclass
 class CnfInstance:
     """A CNF whose models are exactly the circuits of the space that agree
-    with the majority on the constraint set, together with the variable map
+    with the majority on both critical layers, together with the variable map
     needed to read a circuit back out of a model.
 
     sel maps (gate, variable, level) to the CNF variable asserting that the
@@ -260,8 +249,8 @@ class CnfInstance:
     clauses is an (m, width) int32 matrix holding one clause per row, its
     literals first and 0 after them (0 is never a literal in DIMACS), so
     len(clauses) is the clause count and width the longest clause.  The
-    per_assignment rows are one recorded block per run of same-weight
-    constraint assignments, replicated with numpy; write_dimacs writes
+    per_assignment rows are one recorded block per critical layer,
+    replicated with numpy over the layer's inputs; write_dimacs writes
     the same bytes as emitting every clause on its own.  sections counts
     the clauses of each part of the encoding, in file order: ladders,
     exactly_k, per_assignment and symmetry.
@@ -325,12 +314,8 @@ def estimate_clauses(spec: SearchSpaceSpec) -> int:
     est += k * (_counter_cost(length, k + 1) + 2)  # exactly-k
     if not spec.standard_thresholds:
         est += k * k  # threshold ladders and floor units
-    if spec.constraint_set == "minmax":
-        w1 = majority_threshold(n)
-        layer_sizes = [(w1, math.comb(n, w1)), (w1 - 1, math.comb(n, w1 - 1))]
-    else:
-        layer_sizes = [(w, math.comb(n, w)) for w in range(n + 1)]
-    for w, count in layer_sizes:
+    for w in (majority_threshold(n), majority_threshold(n) - 1):
+        count = math.comb(n, w)
         r = w * mult
         qmax = spec.theta if spec.standard_thresholds else min(k, r)
         per_gate = _counter_cost(r, qmax) + (2 if spec.standard_thresholds else 2 * k)
@@ -344,9 +329,9 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
     """Build the CNF for the space.
 
     Satisfiable exactly when some circuit in the space agrees with the
-    majority on the constraint set; for the default minmax set that means
-    computing it on all inputs, since candidates are monotone.  Refuses
-    with an estimate when the projected clause count exceeds clause_cap.
+    majority on both critical layers, which means computing it on all
+    inputs, since candidates are monotone.  Refuses with an estimate when
+    the projected clause count exceeds clause_cap.
     """
     est = estimate_clauses(spec)
     if est > clause_cap:
@@ -399,19 +384,18 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
                 b.add(-cells[k])
     exactly_k = b.take()
 
-    # per-assignment gate outputs and the fixed top majority.  The blocks of
-    # a run of same-weight assignments differ only in the selectors they
-    # read and where their own variables start, so the run records one
-    # block over placeholder selectors and replicates it.
+    # per-input gate outputs and the fixed top majority.  The blocks of one
+    # critical layer differ only in the selectors they read and where their
+    # own variables start, so the layer records one block over placeholder
+    # selectors and replicates it.
     sel_ids = np.array(list(sel.values()), dtype=np.int32).reshape(k, n, mult)
     theta = spec.theta
     per_assignment = []
-    runs = groupby(_constraint_assignments(spec), key=lambda pair: (len(pair[0]), pair[1]))
-    for (w, value), run in runs:
-        ones = np.array([o for o, _ in run], dtype=np.intp)
+    for ones, value in _critical_layers(n):
+        w = ones.shape[1]
         base = b.num_vars
         blk = _CnfBuilder(base + k * w * mult)
-        # placeholder[g] stands for gate g's selectors of the assignment's
+        # placeholder[g] stands for gate g's selectors of the input's
         # ones, by one-position then level
         placeholder = np.arange(base + 1, blk.num_vars + 1).reshape(k, w * mult).tolist()
         outs = []
@@ -701,8 +685,18 @@ def _candidate_rows(spec: SearchSpaceSpec) -> list[tuple[int, ...]]:
 
 
 def estimate_space(spec: SearchSpaceSpec) -> int:
-    """Number of non-decreasing k-tuples of candidate gates."""
-    rows = len(_candidate_rows(spec))
+    """Number of non-decreasing k-tuples of candidate gates, without
+    enumerating them.
+
+    The rows, vectors in {0..m}^n summing to k, are counted by
+    inclusion-exclusion over the j coordinates forced above m:
+    sum_j (-1)^j C(n, j) C(k - j(m+1) + n - 1, n - 1).
+    """
+    n, k, m = spec.n, spec.k, spec.multiplicity_max
+    rows = sum(
+        (-1) ** j * math.comb(n, j) * math.comb(k - j * (m + 1) + n - 1, n - 1)
+        for j in range(min(n, k // (m + 1)) + 1)
+    )
     cands = rows if spec.standard_thresholds else rows * spec.k
     return math.comb(cands + spec.k - 1, spec.k)
 
@@ -732,21 +726,17 @@ def exhaustive_search(
     if not cands:
         return None
 
-    assignments = _constraint_assignments(replace(spec, constraint_set="minmax"))
-    amat = np.zeros((len(assignments), n), dtype=np.int64)
-    want = np.zeros(len(assignments), dtype=bool)
-    for idx, (ones, value) in enumerate(assignments):
-        amat[idx, list(ones)] = 1
-        want[idx] = bool(value)
+    layers = _critical_layers(n)
     vecs = np.array([vec for vec, _ in cands], dtype=np.int64)
-    sums = amat @ vecs.T
+    # sums[a, c]: candidate c's weight on critical input a
+    sums = np.concatenate([vecs[:, ones].sum(axis=2).T for ones, _ in layers])
+    minterm = np.concatenate([np.full(len(ones), bool(value)) for ones, value in layers])
+    maxterm = ~minterm
     thetas = np.array([theta for _, theta in cands], dtype=np.int64)
     fires = (sums >= thetas[None, :]).astype(np.int32)
 
     theta_top = spec.theta_top
-    minterm = want
-    maxterm = ~want
-    counts = np.zeros(len(assignments), dtype=np.int32)
+    counts = np.zeros(len(minterm), dtype=np.int32)
     chosen: list[int] = []
 
     def feasible(depth: int) -> bool:
@@ -959,10 +949,8 @@ def fooling_input(c: LayeredCircuit) -> Assignment:
         if len(comp.vertices) <= need:
             colored.update(comp.vertices)
             continue
-        if comp.p == -1:
-            order = _peel_order(comp.vertices, comp.edges)
-        else:
-            order = _peel_order(comp.vertices, _spanning_tree(comp))
+        # a tree is its own breadth-first spanning tree
+        order = _peel_order(comp.vertices, _spanning_tree(comp))
         colored.update(order[:need])
         break
     bits = tuple(0 if v in colored else 1 for v in range(1, n + 1))

@@ -81,6 +81,17 @@ def test_construct_block_bad_blocking():
     assert main(["construct", "block", "--n", "16", "--p", "5"]) == 2
 
 
+@pytest.mark.parametrize("n, p, window", [(4096, 16, 16), (2048, 1024, 253)])
+def test_construct_block_window_follows_p(n, p, window, tmp_path, capsys):
+    """Without --window the width is block_window of the chosen --p."""
+    out = tmp_path / "block.circ"
+    argv = ["--format", "json", "construct", "block", "--n", str(n), "--p", str(p)]
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    # one gate per block and window threshold, plus the top gate
+    assert summary["gates"] == n // p * window + 1
+
+
 def test_construct_depth3(capsys):
     assert main(["construct", "depth3", "--b", "2"]) == 0
     c = parse_circuit(capsys.readouterr().out)
@@ -157,6 +168,15 @@ def test_verify_malformed_file(tmp_path):
 
 
 # -- search and decode -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["search", "decode"])
+def test_search_flags_drop_settings_that_cannot_change_a_verdict(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    assert "--multiplicity" in usage
+    assert "--constraints" not in usage and "--distinct" not in usage
 
 
 def test_search_exhaustive_found(capsys):

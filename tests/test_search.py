@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +30,14 @@ from majcirc.core import (
 from majcirc.search import (
     BUILTIN_SOLVER,
     CnfInstance,
+    EncoderBug,
     ModelError,
     SearchSpaceSpec,
     SolverError,
     SolverResult,
     SpaceTooLarge,
+    _candidate_rows,
+    _critical_layers,
     decode,
     encode,
     estimate_clauses,
@@ -76,10 +81,6 @@ def test_spec_validation():
         SearchSpaceSpec(n=3, k=0)
     with pytest.raises(ValueError):
         SearchSpaceSpec(n=3, k=3, multiplicity_max=0)
-    with pytest.raises(ValueError, match="distinct_only"):
-        SearchSpaceSpec(n=3, k=3, distinct_only=True, multiplicity_max=2)
-    with pytest.raises(ValueError, match="constraint_set"):
-        SearchSpaceSpec(n=3, k=3, constraint_set="everything")
 
 
 def test_spec_thresholds():
@@ -96,6 +97,23 @@ def test_estimate_space_counts_row_multisets():
     # full-threshold mode multiplies each row by its k threshold choices
     full = SearchSpaceSpec(n=2, k=2, standard_thresholds=False)
     assert estimate_space(full) == math.comb(6 + 2 - 1, 2)
+
+
+def test_estimate_space_formula_matches_enumeration():
+    for n in range(1, 9):
+        for m in range(1, 4):
+            for k in range(1, n * m + 3):
+                spec = SearchSpaceSpec(n=n, k=k, multiplicity_max=m)
+                rows = len(_candidate_rows(spec))
+                assert estimate_space(spec) == math.comb(rows + k - 1, k), spec
+
+
+def test_space_cap_refuses_before_enumerating():
+    # (m+1)^n = 3^20 multiplicity vectors would take minutes to walk
+    start = time.perf_counter()
+    with pytest.raises(SpaceTooLarge):
+        exhaustive_search(SearchSpaceSpec(n=20, k=18))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_space_cap_enforced():
@@ -173,6 +191,26 @@ def test_decode_rejects_broken_ladders():
         decode(instance, broken)
 
 
+def test_decode_reverifies_on_all_inputs():
+    """A model that skips the critical-layer clauses is caught by decode's
+    check on all 2^n inputs."""
+    instance = encode(SearchSpaceSpec(n=7, k=5))
+    vectors = [(1, 1, 1, 1, 1, 0, 0)] * 5  # every gate is MAJ(x1..x5)
+    with pytest.raises(EncoderBug, match="20 of 128 inputs"):
+        decode(instance, full_selector_model(instance, vectors))
+
+
+def test_critical_layers_are_the_minterms_then_the_maxterms():
+    for n in range(1, 10):
+        (mins, one), (maxs, zero) = _critical_layers(n)
+        assert (one, zero) == (1, 0)
+        w = majority_threshold(n)
+        assert mins.tolist() == [list(c) for c in combinations(range(n), w)]
+        assert maxs.tolist() == [list(c) for c in combinations(range(n), w - 1)]
+        assert mins.shape == (math.comb(n, w), w)
+        assert maxs.shape == (math.comb(n, w - 1), w - 1)
+
+
 def test_decode_rejects_wrong_row_weight():
     spec = SearchSpaceSpec(n=3, k=3)
     instance = encode(spec)
@@ -221,14 +259,11 @@ DIMACS_GOLDEN = [
     (dict(n=7, k=5), "2c520c46de26b8ca197f2433db594adff345b1ba365ea2a7b794502ac13fba58", 7957, 26755),
     (dict(n=4, k=2, multiplicity_max=1), "a1ae6c5fff5bf2b9e4871169435e8abcac0855578cdbd8380b3bba9367cced07", 101, 248),
     (dict(n=3, k=3, standard_thresholds=False), "d3c793b6b2c9d0cddd3bbc5738e894b5b29d7fbb7fad0b7b9adebd64bbf60106", 247, 770),
-    (dict(n=4, k=3, standard_thresholds=False, constraint_set="all_inputs"), "2679170fa9c35bcd747291631783b94236079136cdd96a7bfe82a08b79de6cf4", 694, 2319),
-    (dict(n=4, k=3, constraint_set="all_inputs"), "d50f48fe26165d557cc697d12d69a259faf50653d59b11240b2cf8171be672b1", 583, 1761),
-    (dict(n=5, k=5, distinct_only=True, multiplicity_max=1), "798cdffdfdbacd414147e97e021bd3c4e44febff9323b13993eefe9e5ab6f1cb", 756, 2177),
+    (dict(n=5, k=5, multiplicity_max=1), "798cdffdfdbacd414147e97e021bd3c4e44febff9323b13993eefe9e5ab6f1cb", 756, 2177),
     (dict(n=3, k=3, symmetry_breaking=False), "0431bfaddde031144ecff997599ae9f9c17918fbe5e358d03673b295b4c47b2c", 210, 603),
     (dict(n=5, k=5, multiplicity_max=1, standard_thresholds=False, symmetry_breaking=False), "4efe7879716c333776a5ab6802592b7820a3be1c889e1943b93a5c92750321c3", 915, 3150),
     # weight*multiplicity < theta on every constraint, and k > n*multiplicity
     (dict(n=3, k=5, multiplicity_max=1), "181478e79aac4679092f8f300b7f02a126ffc9eaa65bf1d066d95d6ef61d19bb", 160, 404),
-    (dict(n=2, k=5, constraint_set="all_inputs"), "cdad5ec97d60f6471eaad3f4b20b81175e4e05a1a7e930a3028e8ea352b3c310", 200, 554),
     (dict(n=1, k=1), "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c", 11, 25),
     (dict(n=9, k=7), "009846da290dbed59952d425ae13ff224b48f4b1d27bc62e988f51e6fa99a567", 61268, 215387),
 ]
@@ -285,10 +320,7 @@ def test_sections_count_each_part(kw):
     instance = encode(spec)
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
     length = n * mult
-    if spec.constraint_set == "minmax":
-        layers = [majority_threshold(n), majority_threshold(n) - 1]
-    else:
-        layers = range(n + 1)
+    layers = [majority_threshold(n), majority_threshold(n) - 1]
     assert instance.sections == {
         "ladders": k * n * (mult - 1) + (0 if spec.standard_thresholds else k * k),
         "exactly_k": k * (counter_clauses(length, k + 1) + (1 if k == length else 2)),
@@ -395,16 +427,6 @@ def test_exhaustive_full_thresholds_widen_the_space():
     c = exhaustive_search(spec)
     assert c is not None
     assert verify_all(c).errors == 0
-
-
-def test_exhaustive_all_inputs_constraints_match_minmax():
-    for spec_args in [(3, 3), (4, 3), (5, 5)]:
-        n, k = spec_args
-        minmax = exhaustive_search(SearchSpaceSpec(n=n, k=k))
-        everything = exhaustive_search(
-            SearchSpaceSpec(n=n, k=k, constraint_set="all_inputs")
-        )
-        assert (minmax is None) == (everything is None)
 
 
 # -- solver pipeline ---------------------------------------------------------
