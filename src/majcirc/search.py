@@ -12,10 +12,11 @@ gates under a fixed standard-majority top gate:
   clause per row padded with 0.  The inputs of one critical layer get the
   same block of clauses up to the selectors they read and where their
   own variables start, so each layer records one block over placeholder
-  selectors and numpy replicates it; the DIMACS bytes are those of
-  building every clause on its own;
+  selectors and numpy replicates it; the DIMACS text is built in numpy
+  from fixed-width literal slots, and its bytes are those of building
+  every clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
-  with minterm/maxterm pruning.
+  with minterm/maxterm pruning, all children of a node tested at once.
 
 Because every candidate circuit is monotone, correctness on all minterms
 and maxterms of the majority implies correctness everywhere, so both
@@ -30,6 +31,7 @@ gets wrong: gates correspond to edges of a multigraph on the variables
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import shutil
@@ -57,6 +59,70 @@ DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
 # clause rows formatted per write in CnfInstance.write_dimacs
 _DIMACS_BATCH = 2**16
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Little-endian int64 byte tables for the 8-byte DIMACS literal slot:
+    sign in byte 0, the digits right-aligned in bytes 1..6, a space in
+    byte 7, and NUL in every unused byte.
+
+    low[c] holds c < 10^4 in bytes 3..6 with leading NULs and the space,
+    low[10^4 + c] the same zero-padded to four digits; low[0] is all NUL,
+    the padding literal.  top[h] holds h < 100 in bytes 1..2, and top[~h]
+    adds the minus sign.  step[h] = 10^4 [h > 0] - 10^4 h, so that
+    low[v + step[v // 10^4]] is the low four digits of v, padded exactly
+    when v has more.  Built on the first write, so importing the package
+    allocates none of them.
+    """
+    c = np.arange(10**4, dtype=np.int64)
+    low = np.full(2 * 10**4, 0x20 << 56, dtype=np.int64)
+    for p in range(4):
+        digit = (c // 10**p % 10 + 0x30) << (8 * (6 - p))
+        low[10**4 :] |= digit
+        low[: 10**4] |= np.where(c >= 10**p, digit, 0)
+    low[0] = 0
+    h = np.arange(100, dtype=np.int64)
+    tens = np.where(h >= 10, (h // 10 + 0x30) << 8, 0)
+    digits = tens | np.where(h >= 1, (h % 10 + 0x30) << 16, 0)
+    top = np.concatenate([digits, (digits | 0x2D)[::-1]])
+    step = np.where(h > 0, 10**4, 0) - 10**4 * h
+    for table in (low, top, step):
+        table.flags.writeable = False
+    return low, top, step
+
+
+# the four digit bytes of a low-table entry, without its space
+_LOW_DIGITS = 0xFFFFFFFF << 24
+
+
+def _literal_slots(lits: np.ndarray, out: np.ndarray) -> None:
+    """Write the DIMACS text of each literal into its slot of out, one or
+    two little-endian int64 words per literal (out.shape = lits.shape +
+    (words,)); NUL fills every byte that is not text, and literal 0 is all
+    NUL.
+
+    One word holds literals of up to six digits: the sign in byte 0, the
+    digits from byte 1 and the space in byte 7.  Two words hold up to ten
+    digits, which covers int32: the sign and two top digits in bytes 4..6,
+    the middle four digits in bytes 7..10 and the low four and the space in
+    bytes 11..15.
+    """
+    low_text, top_text, low_step = _text_tables()
+    mag = np.abs(lits)
+    neg = lits >> 31  # int32: -1 on negative literals, so top ^ neg indexes top[~h]
+    if out.shape[-1] == 1:
+        top = mag // 10**4
+        np.bitwise_or(
+            top_text.take(top ^ neg), low_text.take(mag + low_step.take(top)), out=out[..., 0]
+        )
+        return
+    mid = mag // 10**4
+    top = mid // 10**4
+    inner = low_text.take(mid + low_step.take(top)) & _LOW_DIGITS
+    out[..., 0] = (top_text.take(top ^ neg) | inner) << 32
+    out[..., 1] = (inner >> 32) | low_text.take(mag - 10**4 * mid + 10**4 * (mid > 0))
+
 
 # solver executables probed on PATH, in order, when none is configured
 SOLVER_CANDIDATES = ("varisat", "kissat", "cadical", "cryptominisat5", "glucose", "minisat")
@@ -274,17 +340,27 @@ class CnfInstance:
         return base / f"{stem}.cnf"
 
     def write_dimacs(self, path: str | Path) -> None:
-        """Write the DIMACS file, _DIMACS_BATCH clause rows per format call,
-        so the transient Python ints stay bounded by the batch, not the
-        clause count."""
-        templates = ["%d " * length + "0\n" for length in range(self.clauses.shape[1] + 1)]
-        with open(path, "w") as fh:
-            fh.write(f"p cnf {self.num_vars} {len(self.clauses)}\n")
-            for lo in range(0, len(self.clauses), _DIMACS_BATCH):
+        """Write the DIMACS file, its text built in numpy _DIMACS_BATCH
+        clause rows at a time.
+
+        Each row of a batch becomes fixed-width byte slots: one per literal
+        (sign, digits, space; see _literal_slots), 8 bytes while num_vars
+        has at most six digits and 16 beyond, then one holding "0\\n".
+        Every DIMACS character is nonzero, so dropping the NUL bytes leaves
+        exactly the text, and the padding literal 0 leaves nothing.  The
+        transient arrays are set by the batch, not by num_vars or the
+        clause count.
+        """
+        rows, width = self.clauses.shape
+        words = 1 if self.num_vars < 10**6 else 2
+        with open(path, "wb") as fh:
+            fh.write(f"p cnf {self.num_vars} {rows}\n".encode())
+            for lo in range(0, rows, _DIMACS_BATCH):
                 batch = self.clauses[lo : lo + _DIMACS_BATCH]
-                lengths = np.count_nonzero(batch, axis=1).tolist()
-                fmt = "".join([templates[length] for length in lengths])
-                fh.write(fmt % tuple(batch[batch != 0].tolist()))
+                slots = np.zeros((len(batch), width + 1, words), dtype=np.int64)
+                slots[:, width, 0] = int.from_bytes(b"0\n", "little")
+                _literal_slots(batch, slots[:, :width])
+                fh.write(slots.tobytes().translate(None, b"\0"))
 
     def write_varmap(self, path: str | Path) -> None:
         """Sidecar mapping CNF variables back to circuit structure.
@@ -709,7 +785,12 @@ def exhaustive_search(
 
     Prunes a branch as soon as some minterm cannot reach the top threshold
     even if all remaining gates fire, or some maxterm already reaches it.
-    The first complete candidate is verified on all inputs and returned.
+    Every child of a node is tested at once: one numpy expression adds
+    each candidate's firing column to the node's minterm and maxterm
+    counts and keeps the columns that pass, and the survivors are entered
+    in increasing candidate order, so the search visits nodes in the same
+    order as testing one child at a time.  The first complete candidate
+    that verifies on all inputs is returned.
     """
     est = estimate_space(spec)
     if est > space_cap:
@@ -726,55 +807,38 @@ def exhaustive_search(
     if not cands:
         return None
 
-    layers = _critical_layers(n)
     vecs = np.array([vec for vec, _ in cands], dtype=np.int64)
-    # sums[a, c]: candidate c's weight on critical input a
-    sums = np.concatenate([vecs[:, ones].sum(axis=2).T for ones, _ in layers])
-    minterm = np.concatenate([np.full(len(ones), bool(value)) for ones, value in layers])
-    maxterm = ~minterm
     thetas = np.array([theta for _, theta in cands], dtype=np.int64)
-    fires = (sums >= thetas[None, :]).astype(np.int32)
-
+    # (minterm fires, maxterm fires): [a, c] is 1 when candidate c fires
+    # on critical input a of the layer
+    fires_min, fires_max = (
+        (vecs[:, ones].sum(axis=2).T >= thetas).astype(np.int32) for ones, _ in _critical_layers(n)
+    )
     theta_top = spec.theta_top
-    counts = np.zeros(len(minterm), dtype=np.int32)
     chosen: list[int] = []
 
-    def feasible(depth: int) -> bool:
-        slack = k - depth
-        if np.any(counts[minterm] + slack < theta_top):
-            return False
-        if np.any(counts[maxterm] >= theta_top):
-            return False
-        return True
-
-    def recurse(start: int, depth: int) -> LayeredCircuit | None:
-        nonlocal counts
+    def recurse(start: int, depth: int, mins: np.ndarray, maxs: np.ndarray):
+        """mins, maxs: firing counts of the chosen gates per minterm and
+        per maxterm."""
         if depth == k:
-            if np.all(counts[minterm] >= theta_top):
-                gates = tuple(
-                    ThresholdGate(
-                        tuple((i, m) for i, m in enumerate(cands[c][0]) if m),
-                        cands[c][1],
-                    )
-                    for c in chosen
-                )
-                top = majority_gate(range(k))
-                circuit = LayeredCircuit(n=n, k=k, layers=(gates, (top,)), top=0)
-                if verify_all(circuit).errors == 0:
-                    return circuit
-            return None
-        for c in range(start, len(cands)):
-            counts += fires[:, c]
+            gates = tuple(
+                ThresholdGate(tuple((i, m) for i, m in enumerate(cands[c][0]) if m), cands[c][1])
+                for c in chosen
+            )
+            circuit = LayeredCircuit(n=n, k=k, layers=(gates, (majority_gate(range(k)),)), top=0)
+            return circuit if verify_all(circuit).errors == 0 else None
+        # a child leaves k - depth - 1 gates that could still fire
+        reach = (mins[:, None] + fires_min[:, start:] + (k - depth - 1) >= theta_top).all(axis=0)
+        clear = (maxs[:, None] + fires_max[:, start:] < theta_top).all(axis=0)
+        for c in (np.flatnonzero(reach & clear) + start).tolist():
             chosen.append(c)
-            if feasible(depth + 1):
-                found = recurse(c, depth + 1)
-                if found is not None:
-                    return found
+            found = recurse(c, depth + 1, mins + fires_min[:, c], maxs + fires_max[:, c])
+            if found is not None:
+                return found
             chosen.pop()
-            counts -= fires[:, c]
         return None
 
-    return recurse(0, 0)
+    return recurse(0, 0, *(np.zeros(len(f), dtype=np.int32) for f in (fires_min, fires_max)))
 
 
 # -- the fan-in n-2 refutation ----------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line behaviour: exit codes, outputs, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import majcirc
 from majcirc import search
 from majcirc.cli import main
 from majcirc.construct import (
@@ -90,6 +94,20 @@ def test_construct_block_window_follows_p(n, p, window, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     # one gate per block and window threshold, plus the top gate
     assert summary["gates"] == n // p * window + 1
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    """python -m majcirc.cli runs the command, not just the import."""
+    out = tmp_path / "block.circ"
+    env = dict(os.environ)
+    src = str(Path(majcirc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "majcirc.cli", "construct", "block", "--n", "64", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_circuit(out.read_text()).n == 64
 
 
 def test_construct_depth3(capsys):

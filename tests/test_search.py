@@ -2,14 +2,18 @@
 
 import hashlib
 import math
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majcirc.construct import (
     omission_circuit,
@@ -267,6 +271,8 @@ DIMACS_GOLDEN = [
     (dict(n=1, k=1), "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c", 11, 25),
     (dict(n=9, k=7), "009846da290dbed59952d425ae13ff224b48f4b1d27bc62e988f51e6fa99a567", 61268, 215387),
 ]
+# n=11, k=9, m=2: 416817 variables, 1504445 clauses
+N11_DIGEST = "1ea58d809cacca6f6741cdc606fc2715f4a8ca903db1960d8eb5b8355804630a"
 GOLDEN_IDS = ["-".join(f"{key}={val}" for key, val in kw.items()) for kw, *_ in DIMACS_GOLDEN]
 
 
@@ -332,25 +338,79 @@ def test_sections_count_each_part(kw):
 
 def test_encoding_memory_is_the_clause_matrix(tmp_path: Path, monkeypatch):
     """encode holds about 16 bytes per clause, and write_dimacs's transient
-    memory is set by its batch size, not by the clause count."""
-    spec = SearchSpaceSpec(n=9, k=7)
+    memory is set by its batch size, not by the clause count or num_vars."""
     batch = 2**12
     monkeypatch.setattr("majcirc.search._DIMACS_BATCH", batch)
-    tracemalloc.start()
-    try:
-        instance = encode(spec)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        instance.write_dimacs(tmp_path / "batched.cnf")
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert held < 8 * 2**20
-    # at most 4 literals a row and under 100 bytes of Python objects each
-    assert len(instance.clauses) > 50 * batch
-    assert peak < batch * instance.clauses.shape[1] * 100
-    digest = hashlib.sha256((tmp_path / "batched.cnf").read_bytes()).hexdigest()
-    assert digest == DIMACS_GOLDEN[-1][1]
+    cases = [
+        (SearchSpaceSpec(n=9, k=7), 8 * 2**20, DIMACS_GOLDEN[-1][1]),
+        (SearchSpaceSpec(n=11, k=9), 32 * 2**20, N11_DIGEST),
+    ]
+    for spec, held_bound, golden in cases:
+        tracemalloc.start()
+        try:
+            instance = encode(spec)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            instance.write_dimacs(tmp_path / "batched.cnf")
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert held < held_bound, spec
+        # at most 4 literals a row and under 100 bytes of Python objects each
+        assert len(instance.clauses) > 50 * batch
+        assert peak < batch * instance.clauses.shape[1] * 100, spec
+        digest = hashlib.sha256((tmp_path / "batched.cnf").read_bytes()).hexdigest()
+        assert digest == golden, spec
+
+
+def reference_dimacs(instance: CnfInstance, path: Path) -> None:
+    """The %-format writer write_dimacs replaced: one template per row
+    length, filled from Python ints, _DIMACS_BATCH rows per format call."""
+    from majcirc.search import _DIMACS_BATCH
+
+    templates = ["%d " * length + "0\n" for length in range(instance.clauses.shape[1] + 1)]
+    with open(path, "w") as fh:
+        fh.write(f"p cnf {instance.num_vars} {len(instance.clauses)}\n")
+        for lo in range(0, len(instance.clauses), _DIMACS_BATCH):
+            batch = instance.clauses[lo : lo + _DIMACS_BATCH]
+            lengths = np.count_nonzero(batch, axis=1).tolist()
+            fmt = "".join([templates[length] for length in lengths])
+            fh.write(fmt % tuple(batch[batch != 0].tolist()))
+
+
+# num_vars at each digit-count boundary, up to the largest int32
+DIGIT_BOUNDARIES = [1, 9, 10, 99, 9999, 10**4, 999999, 10**6, 9999999, 2**31 - 1]
+
+
+@st.composite
+def clause_matrices(draw):
+    """(num_vars, 0-padded clause matrix): widths 1..5, one row of every
+    length 0..width among random rows, mixed signs, literals at +-1 and
+    +-num_vars among uniform ones."""
+    num_vars = draw(st.sampled_from(DIGIT_BOUNDARIES))
+    width = draw(st.integers(1, 5))
+    var = st.one_of(st.sampled_from([1, num_vars]), st.integers(1, num_vars))
+    lit = st.tuples(var, st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
+    lengths = list(range(width + 1)) + draw(st.lists(st.integers(0, width), max_size=12))
+    order = draw(st.permutations(lengths))
+    rows = np.zeros((len(order), width), dtype=np.int32)
+    for r, length in enumerate(order):
+        rows[r, :length] = draw(st.lists(lit, min_size=length, max_size=length))
+    return num_vars, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(clause_matrices(), st.sampled_from([1, 3, 4096]))
+def test_write_dimacs_matches_the_reference_writer(matrix, batch):
+    num_vars, clauses = matrix
+    instance = CnfInstance(SearchSpaceSpec(n=1, k=1), num_vars, clauses, {}, {}, {})
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("majcirc.search._DIMACS_BATCH", batch):
+        instance.write_dimacs(Path(tmp) / "numpy.cnf")
+        reference_dimacs(instance, Path(tmp) / "reference.cnf")
+        written = (Path(tmp) / "numpy.cnf").read_bytes()
+        assert written == (Path(tmp) / "reference.cnf").read_bytes()
+    # a row of length 0 is the empty clause, written "0\n"
+    assert b"\n0\n" in written
 
 
 # -- solver output parsing ---------------------------------------------------
@@ -463,6 +523,61 @@ def test_engines_agree_on_small_spaces(n):
             by_brute = exhaustive_search(spec)
             by_sat = solve_spec(spec)
             assert (by_brute is None) == (by_sat is None), spec
+
+
+def first_circuit_in_order(spec: SearchSpaceSpec) -> tuple[LayeredCircuit | None, int]:
+    """The first tuple of combinations_with_replacement over the candidates
+    (rows in lexicographic order, thresholds 1..k within a row in full
+    mode) that is right on both critical layers and on all inputs, and the
+    number of tuples right on both critical layers up to it, each of which
+    gets a verify_all call."""
+    n, k = spec.n, spec.k
+    rows = [v for v in product(range(spec.multiplicity_max + 1), repeat=n) if sum(v) == k]
+    thetas = [spec.theta] if spec.standard_thresholds else range(1, k + 1)
+    cands = [(v, t) for v in rows for t in thetas]
+    w = majority_threshold(n)
+    critical = [(ones, 1) for ones in combinations(range(n), w)]
+    critical += [(ones, 0) for ones in combinations(range(n), w - 1)]
+    # fires[c][a]: candidate c fires on critical input a
+    fires = [[sum(v[i] for i in ones) >= t for ones, _ in critical] for v, t in cands]
+    top = majority_gate(range(k))
+    verified = 0
+    for chosen in combinations_with_replacement(range(len(cands)), k):
+        if any(
+            (sum(fires[c][a] for c in chosen) >= top.theta) != bool(want)
+            for a, (_, want) in enumerate(critical)
+        ):
+            continue
+        gates = tuple(
+            ThresholdGate(tuple((i, m) for i, m in enumerate(cands[c][0]) if m), cands[c][1])
+            for c in chosen
+        )
+        circuit = LayeredCircuit(n=n, k=k, layers=(gates, (top,)), top=0)
+        verified += 1
+        if verify_all(circuit).errors == 0:
+            return circuit, verified
+    return None, verified
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_returns_the_first_circuit_in_order(n):
+    """The backtracking search returns exactly the first tuple in
+    combinations_with_replacement order that works, and reaches as leaves
+    only tuples right on both critical layers: its pruning keeps the
+    visiting order, drops no solution and lets no wrong leaf through."""
+    found = 0
+    for k in range(1, n + 2):
+        for mult in (1, 2):
+            for standard in (True, False):
+                spec = SearchSpaceSpec(
+                    n=n, k=k, multiplicity_max=mult, standard_thresholds=standard
+                )
+                want, verified = first_circuit_in_order(spec)
+                with mock.patch("majcirc.search.verify_all", wraps=verify_all) as leaves:
+                    assert exhaustive_search(spec) == want, spec
+                assert leaves.call_count == verified, spec
+                found += want is not None
+    assert found > 0
 
 
 @pytest.mark.parametrize("tag", ["n7", "intro7"])
