@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,34 +44,22 @@ EXIT_UNSAT = 3
 WORKERS_ENV = "MAJCIRC_WORKERS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by every subcommand."""
-
-    seed: int = 0
-    worker_count: int = 1
-    exhaustive_cap: int = verify.EXHAUSTIVE_CAP
-    layer_cap: int = verify.LAYER_CAP
-    clause_cap: int = search.DEFAULT_CLAUSE_CAP
-    alpha: float = construct.DEFAULT_ALPHA
-    delta: float = 0.01
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.worker_count < 1:
-            raise ValueError("worker count must be at least 1")
-        if min(self.exhaustive_cap, self.layer_cap, self.clause_cap) < 1:
-            raise ValueError("caps must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie strictly between 0 and 1")
-
-
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "")
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def _positive(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
+    return value
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -89,15 +76,13 @@ def _load_circuit(path: str) -> LayeredCircuit:
         return parse_circuit(fh.read())
 
 
-def _write_circuit(c: LayeredCircuit, out: str | None) -> None:
+def _write_circuit(c: LayeredCircuit, args) -> int:
+    """The circuit's text on stdout, or in args.out with a summary on stdout."""
     text = serialize_circuit(c)
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _circuit_summary(c: LayeredCircuit, cfg: RunConfig, extra: dict | None = None) -> None:
+        return EXIT_OK
+    Path(args.out).write_text(text)
     stats = inspect_circuit(c)
     obj = {
         "n": c.n,
@@ -106,42 +91,37 @@ def _circuit_summary(c: LayeredCircuit, cfg: RunConfig, extra: dict | None = Non
         "gates": stats.gate_count,
         "max_fanin": stats.max_fanin,
         "max_weight": stats.max_weight,
+        "out": args.out,
     }
-    if extra:
-        obj.update(extra)
-    _emit(obj, cfg.fmt)
+    _emit(obj, args.format)
+    return EXIT_OK
 
 
 # -- construct ---------------------------------------------------------------
 
 
-def _cmd_construct(args, cfg: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     kind = args.kind
     if kind == "published":
         c = construct.published_circuit(args.tag)
     elif kind == "correlation":
         c = construct.build_correlation(
-            construct.CorrelationParams(n=args.n, k=args.k, seed=cfg.seed)
+            construct.CorrelationParams(n=args.n, k=args.k, seed=args.seed)
         )
     elif kind == "block":
         p = construct.default_block_params(args.n).p if args.p is None else args.p
-        window = construct.block_window(p, cfg.alpha) if args.window is None else args.window
+        window = construct.block_window(p, args.alpha) if args.window is None else args.window
         c = construct.build_block_circuit(construct.BlockParams(args.n, p, window))
     else:
         c = construct.build_depth3(construct.Depth3Params(args.b))
-    if args.out:
-        _write_circuit(c, args.out)
-        _circuit_summary(c, cfg, {"out": args.out})
-    else:
-        _write_circuit(c, None)
-    return EXIT_OK
+    return _write_circuit(c, args)
 
 
 # -- verify ------------------------------------------------------------------
 
 
-def _print_report(report: verify.VerificationReport, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _print_report(report: verify.VerificationReport, fmt: str) -> None:
+    if fmt == "json":
         print(report.to_json())
         return
     print(f"mode: {report.mode}")
@@ -157,32 +137,32 @@ def _print_report(report: verify.VerificationReport, cfg: RunConfig) -> None:
             print(f"weight {w}: {errs} errors in {report.checked_by_weight[w]}")
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     c = _load_circuit(args.circuit)
     if args.all:
-        report = verify.verify_all(c, workers=cfg.worker_count, cap=cfg.exhaustive_cap)
+        report = verify.verify_all(c, workers=args.workers, cap=args.exhaustive_cap)
     elif args.minmax is not None:
         if args.minmax == "exact":
             report = verify.verify_minmax(
-                c, workers=cfg.worker_count, cap=cfg.layer_cap
+                c, workers=args.workers, cap=args.layer_cap
             )
         else:
             report = verify.verify_minmax(
                 c,
                 samples=args.samples,
-                seed=cfg.seed,
-                workers=cfg.worker_count,
-                cap=cfg.layer_cap,
+                seed=args.seed,
+                workers=args.workers,
+                cap=args.layer_cap,
             )
     else:
         report = verify.estimate_agreement(
             c,
             args.samples,
-            cfg.seed,
-            delta=cfg.delta,
-            workers=cfg.worker_count,
+            args.seed,
+            delta=args.delta,
+            workers=args.workers,
         )
-    _print_report(report, cfg)
+    _print_report(report, args.format)
     return EXIT_ERRORS if report.errors else EXIT_OK
 
 
@@ -199,19 +179,16 @@ def _space_spec(args) -> search.SearchSpaceSpec:
     )
 
 
-def _cmd_search(args, cfg: RunConfig) -> int:
+def _cmd_search(args) -> int:
     spec = _space_spec(args)
     if args.engine == "exhaustive":
         found = search.exhaustive_search(spec)
         if found is None:
             print("exhausted: no circuit in the space", file=sys.stderr)
             return EXIT_UNSAT
-        _write_circuit(found, args.out)
-        if args.out:
-            _circuit_summary(found, cfg, {"out": args.out})
-        return EXIT_OK
+        return _write_circuit(found, args)
 
-    instance = search.encode(spec, clause_cap=cfg.clause_cap)
+    instance = search.encode(spec, clause_cap=args.clause_cap)
     cnf_path = instance.write_files(args.out_dir)
     print(f"wrote {cnf_path} ({instance.num_vars} vars, {len(instance.clauses)} clauses)")
     if args.no_solve:
@@ -220,13 +197,10 @@ def _cmd_search(args, cfg: RunConfig) -> int:
     if found is None:
         print("unsatisfiable: no circuit in the space", file=sys.stderr)
         return EXIT_UNSAT
-    _write_circuit(found, args.out)
-    if args.out:
-        _circuit_summary(found, cfg, {"out": args.out})
-    return EXIT_OK
+    return _write_circuit(found, args)
 
 
-def _cmd_decode(args, cfg: RunConfig) -> int:
+def _cmd_decode(args) -> int:
     spec = _space_spec(args)
     text = Path(args.model).read_text()
     status, lits = search.parse_model_text(text)
@@ -236,15 +210,12 @@ def _cmd_decode(args, cfg: RunConfig) -> int:
     if status != "sat":
         print("model file holds no recognizable model", file=sys.stderr)
         return EXIT_USAGE
-    instance = search.encode(spec, clause_cap=cfg.clause_cap)
+    instance = search.encode(spec, clause_cap=args.clause_cap)
     found = search.decode(instance, lits)
-    _write_circuit(found, args.out)
-    if args.out:
-        _circuit_summary(found, cfg, {"out": args.out})
-    return EXIT_OK
+    return _write_circuit(found, args)
 
 
-def _cmd_fool(args, cfg: RunConfig) -> int:
+def _cmd_fool(args) -> int:
     c = _load_circuit(args.circuit)
     a = search.fooling_input(c)
     out = eval_circuit(c, a)
@@ -254,7 +225,7 @@ def _cmd_fool(args, cfg: RunConfig) -> int:
         "majority": majority_value(a),
         "circuit_output": out,
     }
-    _emit(obj, cfg.fmt)
+    _emit(obj, args.format)
     if out != 0 or majority_value(a) != 1:
         print("fooling input failed to fool the circuit", file=sys.stderr)
         return EXIT_ERRORS
@@ -271,12 +242,12 @@ def _int_grid(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer grid {raw!r}")
 
 
-def _cmd_analyze_hypergeom(args, cfg: RunConfig) -> int:
+def _cmd_analyze_hypergeom(args) -> int:
     if args.sweep:
         checked, violations = analyze.tail_bound_sweep(args.max_m)
         _emit(
             {"checked": checked, "violations": len(violations)},
-            cfg.fmt,
+            args.format,
         )
         return EXIT_ERRORS if violations else EXIT_OK
     if args.scaling:
@@ -302,12 +273,12 @@ def _cmd_analyze_hypergeom(args, cfg: RunConfig) -> int:
             "bound": str(check.bound),
             "holds": check.holds,
         },
-        cfg.fmt,
+        args.format,
     )
     return EXIT_OK if check.holds else EXIT_ERRORS
 
 
-def _cmd_analyze_binomial(args, cfg: RunConfig) -> int:
+def _cmd_analyze_binomial(args) -> int:
     rows = analyze.binomial_mid_check(args.grid, args.c)
     print("n,mid_normalized,off_index,off_normalized")
     for r in rows:
@@ -315,7 +286,7 @@ def _cmd_analyze_binomial(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze_boundary(args, cfg: RunConfig) -> int:
+def _cmd_analyze_boundary(args) -> int:
     tt = analyze.majority_truth_table(args.n)
     brute = analyze.boundary_size(tt, args.n)
     obj: dict = {"n": args.n, "boundary": brute}
@@ -323,11 +294,11 @@ def _cmd_analyze_boundary(args, cfg: RunConfig) -> int:
         closed = analyze.majority_boundary_closed(args.n)
         obj["closed_form"] = closed
         obj["match"] = brute == closed
-    _emit(obj, cfg.fmt)
+    _emit(obj, args.format)
     return EXIT_OK if obj.get("match", True) else EXIT_ERRORS
 
 
-def _cmd_analyze_influence(args, cfg: RunConfig) -> int:
+def _cmd_analyze_influence(args) -> int:
     tt = analyze.majority_truth_table(args.l)
     brute = analyze.influence(tt, args.l)
     obj: dict = {"l": args.l, "influence": str(brute)}
@@ -335,11 +306,11 @@ def _cmd_analyze_influence(args, cfg: RunConfig) -> int:
         closed = analyze.majority_influence_closed(args.l)
         obj["closed_form"] = str(closed)
         obj["match"] = brute == closed
-    _emit(obj, cfg.fmt)
+    _emit(obj, args.format)
     return EXIT_OK if obj.get("match", True) else EXIT_ERRORS
 
 
-def _cmd_analyze_walk(args, cfg: RunConfig) -> int:
+def _cmd_analyze_walk(args) -> int:
     c = _load_circuit(args.circuit)
     bits = tuple(int(ch) for ch in args.start)
     if any(b not in (0, 1) for b in bits):
@@ -350,7 +321,7 @@ def _cmd_analyze_walk(args, cfg: RunConfig) -> int:
         d=args.d,
         x_star=args.x_star,
         g_star=tuple(args.g_star),
-        seed=cfg.seed,
+        seed=args.seed,
         gate_choice=args.gate_choice,
     )
     trace = analyze.walk(c, Assignment(bits), wcfg)
@@ -382,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive,
         default=_default_workers(),
         help=f"worker processes (default from ${WORKERS_ENV} or 1)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--exhaustive-cap", type=int, default=verify.EXHAUSTIVE_CAP)
-    p.add_argument("--layer-cap", type=int, default=verify.LAYER_CAP)
-    p.add_argument("--clause-cap", type=int, default=search.DEFAULT_CLAUSE_CAP)
+    p.add_argument("--exhaustive-cap", type=_positive, default=verify.EXHAUSTIVE_CAP)
+    p.add_argument("--layer-cap", type=_positive, default=verify.LAYER_CAP)
+    p.add_argument("--clause-cap", type=_positive, default=search.DEFAULT_CLAUSE_CAP)
     p.add_argument("--alpha", type=float, default=construct.DEFAULT_ALPHA)
     p.add_argument("--delta", type=float, default=0.01)
     sub = p.add_subparsers(dest="command", required=True)
@@ -492,19 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            seed=args.seed,
-            worker_count=args.workers,
-            exhaustive_cap=args.exhaustive_cap,
-            layer_cap=args.layer_cap,
-            clause_cap=args.clause_cap,
-            alpha=args.alpha,
-            delta=args.delta,
-            fmt=args.format,
-        )
         if args.command == "analyze":
-            return _ANALYZE[args.subcommand](args, cfg)
-        return _COMMANDS[args.command](args, cfg)
+            return _ANALYZE[args.subcommand](args)
+        return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,9 +53,13 @@ class CorrelationParams:
             raise ValueError(f"k={self.k} must be within 1..n={self.n}")
 
 
-def default_correlation_k(n: int, beta: float = 8.0) -> int:
-    """Subset size beta*ceil(sqrt(n)) used when no k is given."""
-    return min(n, int(beta) * math.isqrt(n - 1) + int(beta) if n > 1 else 1)
+# subset-size constant for default_correlation_k: k = CORRELATION_BETA*ceil(sqrt(n))
+CORRELATION_BETA = 8
+
+
+def default_correlation_k(n: int) -> int:
+    """Subset size CORRELATION_BETA*ceil(sqrt(n)), clamped to n."""
+    return min(n, CORRELATION_BETA * (math.isqrt(n - 1) + 1) if n > 1 else 1)
 
 
 def build_correlation(params: CorrelationParams) -> LayeredCircuit:

@@ -322,8 +322,12 @@ def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
 def parse_circuit(text: str) -> LayeredCircuit:
     """Parse the text format back into a circuit.
 
-    Raises CircuitParseError with a line number for malformed input, and
-    CircuitError for structurally invalid but well-formed text.
+    The parser checks the text itself: syntax, the header, gate layers and
+    ids, and that every reference resolves.  Each gate is then built as a
+    ThresholdGate, whose CircuitError (no inputs, repeated input, weight
+    below 1) comes back as a CircuitParseError with the gate's line number.
+    Circuit checks, such as fan-in over the declared bound k, come from
+    LayeredCircuit as a plain CircuitError.
     """
     lines: list[tuple[int, str]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -338,24 +342,24 @@ def parse_circuit(text: str) -> LayeredCircuit:
     if len(lines) < 2:
         raise CircuitParseError(no, "missing header line")
     n, k, depth = _parse_header(*lines[1])
-    if depth < 1:
-        raise CircuitParseError(lines[1][0], "depth must be at least 1")
 
-    # First pass: collect raw gate lines so declaration order within the
-    # file does not matter across layers.
-    gate_rows: dict[int, list[tuple[int, int, int, str]]] = {d: [] for d in range(1, depth + 1)}
+    # Gate lines by layer, keyed by gate id.  A gate's position in its layer
+    # is the order of its line in the file, so lines may come in any order
+    # across layers.
+    rows: dict[int, dict[int, tuple[int, int, int, str]]] = {}
     top_ref: tuple[int, int, int] | None = None
     for no, line in lines[2:]:
         if line.startswith("gate "):
             m = re.fullmatch(r"gate (\d+):(\d+) theta (-?\d+) : (.*)", line)
             if not m:
                 raise CircuitParseError(no, f"bad gate line {line!r}")
-            d, gid, theta = int(m.group(1)), int(m.group(2)), int(m.group(3))
+            d, gid = int(m.group(1)), int(m.group(2))
             if not 1 <= d <= depth:
                 raise CircuitParseError(no, f"gate layer {d} out of range 1..{depth}")
-            if any(gid == existing for _, existing, _, _ in gate_rows[d]):
+            layer = rows.setdefault(d, {})
+            if gid in layer:
                 raise CircuitParseError(no, f"duplicate gate id {d}:{gid}")
-            gate_rows[d].append((no, gid, theta, m.group(4)))
+            layer[gid] = (len(layer), no, int(m.group(3)), m.group(4))
         elif line.startswith("top "):
             m = re.fullmatch(r"top g(\d+):(\d+)", line)
             if not m:
@@ -366,25 +370,18 @@ def parse_circuit(text: str) -> LayeredCircuit:
         else:
             raise CircuitParseError(no, f"unrecognized line {line!r}")
 
-    # Second pass: resolve ids to positional indices layer by layer.
     layers: list[tuple[ThresholdGate, ...]] = []
-    id_maps: dict[int, dict[int, int]] = {}
     for d in range(1, depth + 1):
-        rows = gate_rows[d]
-        if not rows:
+        if d not in rows:
             raise CircuitParseError(lines[1][0], f"layer {d} has no gates")
-        id_maps[d] = {gid: pos for pos, (_, gid, _, _) in enumerate(rows)}
+        below = rows.get(d - 1, {})
         gates = []
-        for no, gid, theta, body in rows:
-            inputs: list[tuple[int, int]] = []
-            seen: set[int] = set()
+        for _, no, theta, body in rows[d].values():
+            inputs = []
             for tok in body.split():
                 m = _REF_RE.fullmatch(tok)
                 if not m:
                     raise CircuitParseError(no, f"bad input reference {tok!r}")
-                w = int(m.group(5))
-                if w < 1:
-                    raise CircuitParseError(no, f"bad weight {w} in {tok!r}")
                 if m.group(2) is not None:
                     if d != 1:
                         raise CircuitParseError(
@@ -395,24 +392,21 @@ def parse_circuit(text: str) -> LayeredCircuit:
                         raise CircuitParseError(no, f"variable x{v} out of range 1..{n}")
                     pos = v - 1
                 else:
-                    ref_layer = int(m.group(3))
+                    ref_layer, ref_id = int(m.group(3)), int(m.group(4))
                     if d == 1:
                         raise CircuitParseError(no, "layer 1 gate may only reference variables")
                     if ref_layer != d - 1:
                         raise CircuitParseError(
                             no, f"layer {d} gate may only reference layer {d - 1} gates"
                         )
-                    ref_id = int(m.group(4))
-                    if ref_id not in id_maps[d - 1]:
+                    if ref_id not in below:
                         raise CircuitParseError(no, f"dangling reference g{ref_layer}:{ref_id}")
-                    pos = id_maps[d - 1][ref_id]
-                if pos in seen:
-                    raise CircuitParseError(no, f"repeated reference {tok!r} in one gate")
-                seen.add(pos)
-                inputs.append((pos, w))
-            if not inputs:
-                raise CircuitParseError(no, "gate has no inputs")
-            gates.append(ThresholdGate(tuple(inputs), theta))
+                    pos = below[ref_id][0]
+                inputs.append((pos, int(m.group(5))))
+            try:
+                gates.append(ThresholdGate(tuple(inputs), theta))
+            except CircuitError as e:
+                raise CircuitParseError(no, str(e)) from None
         layers.append(tuple(gates))
 
     if top_ref is None:
@@ -420,6 +414,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
     no, top_layer, top_id = top_ref
     if top_layer != depth:
         raise CircuitParseError(no, f"top must name a layer {depth} gate")
-    if top_id not in id_maps[depth]:
+    top = rows.get(depth, {}).get(top_id)
+    if top is None:
         raise CircuitParseError(no, f"dangling top reference g{top_layer}:{top_id}")
-    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=id_maps[depth][top_id])
+    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top[0])

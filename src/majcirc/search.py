@@ -619,9 +619,7 @@ def find_solver() -> str:
     return BUILTIN_SOLVER
 
 
-def run_solver(
-    dimacs_path: str | Path, solver: str | None = None, timeout: float | None = None
-) -> SolverResult:
+def run_solver(dimacs_path: str | Path, solver: str | None = None) -> SolverResult:
     """Run a DIMACS solver on a file and parse its verdict.
 
     solver defaults to find_solver(); BUILTIN_SOLVER runs under the current
@@ -633,12 +631,7 @@ def run_solver(
     """
     cmd = solver or find_solver()
     argv = [sys.executable, cmd] if cmd == BUILTIN_SOLVER else [cmd]
-    proc = subprocess.run(
-        argv + [str(dimacs_path)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+    proc = subprocess.run(argv + [str(dimacs_path)], capture_output=True, text=True)
     status, lits = parse_model_text(proc.stdout)
     if proc.returncode == 20 and status != "sat":
         return SolverResult("unsat", None)

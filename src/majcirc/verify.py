@@ -527,6 +527,8 @@ def verify_minmax(
         parts = _run_chunks(_work_rows, jobs, workers, {"plan": compile_circuit(c)})
         cd, ed, total, errs = _merge_counts(n, parts)
         return VerificationReport("layers", total, errs, cd, ed)
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if seed is None:
         raise ValueError("sampled mode needs a seed")
     jobs = [(w, *ch) for w in layers for ch in _chunks(samples, chunk)]
@@ -553,6 +555,8 @@ def estimate_agreement(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie strictly between 0 and 1")
     jobs = _chunks(samples, chunk)
     parts = _run_chunks(_work_agreement, jobs, workers, {"plan": compile_circuit(c), "seed": seed})
     cd, ed, total, errs = _merge_counts(c.n, parts)

@@ -185,6 +185,31 @@ def test_verify_malformed_file(tmp_path):
     assert main(["verify", str(path), "--all"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "0"),
+        ("--exhaustive-cap", "0"),
+        ("--layer-cap", "0"),
+        ("--clause-cap", "0"),
+        ("--delta", "0"),
+        ("--delta", "1"),
+    ],
+)
+def test_global_flags_out_of_range_are_usage_errors(flag, value, n7_file, capsys):
+    assert main([flag, value, "verify", n7_file, "--agree", "--samples", "100"]) == 2
+    err = capsys.readouterr().err
+    if flag == "--delta":
+        assert "error: delta must lie strictly between 0 and 1" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_minmax_sampled_needs_samples(samples, n7_file, capsys):
+    argv = ["verify", n7_file, "--minmax", "sampled", "--samples", samples]
+    assert main(argv) == 2
+    assert "checked" not in capsys.readouterr().out
+
+
 # -- search and decode -------------------------------------------------------
 
 

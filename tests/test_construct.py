@@ -32,6 +32,8 @@ from majcirc.core import (
     inspect_circuit,
     majority_threshold,
     majority_value,
+    parse_circuit,
+    serialize_circuit,
 )
 from majcirc.verify import sample_layer, truth_table, verify_all
 
@@ -349,3 +351,19 @@ def test_random_omission_pairs():
     for n in [5, 7, 9, 11, 13]:
         c = omission_circuit(n, random_omission_pairs(n, seed=1))
         assert inspect_circuit(c).all_standard
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_correlation(CorrelationParams(n=21, k=9, seed=3)),
+        lambda: build_block_circuit(default_block_params(64)),
+        lambda: build_block_circuit(BlockParams(16, 4, 4)),
+        lambda: build_depth3(Depth3Params(2)),
+        lambda: omission_circuit(7, [(1, 2), (3, 4), (5, 6), (7, 1), (2, 3)]),
+    ],
+    ids=["correlation", "block_default", "block_16_4", "depth3_b2", "omission7"],
+)
+def test_every_family_round_trips_through_the_text_format(build):
+    c = build()
+    assert parse_circuit(serialize_circuit(c)) == c

@@ -1,6 +1,7 @@
 """Gate evaluation, circuit evaluation, and the text format."""
 
 import itertools
+import tracemalloc
 from typing import Callable
 
 import pytest
@@ -321,11 +322,11 @@ def test_parse_accepts_comments_and_reordered_gates():
 # hand-written majority of three
 majcirc 1
 n 3 k 3 depth 2
-gate 2:7 theta 2 : g1:5*1 g1:9*1 g1:2*1   # top row first
+gate 2:9 theta 2 : g1:5*1 g1:9*1 g1:2*1   # top row first; ids are per layer
 gate 1:9 theta 2 : x1*1 x2*1 x3*1
 gate 1:5 theta 1 : x2*1
 gate 1:2 theta 3 : x1*1 x2*1 x3*1
-top g2:7
+top g2:9
 """
     c = parse_circuit(text)
     assert c.depth == 2
@@ -351,12 +352,33 @@ top g2:7
         ("majcirc 1\nn 2 k 2 depth 2\ngate 1:0 theta 1 : x1*1\n"
          "gate 2:0 theta 1 : g1:4*1\ntop g2:0\n", 4),
         ("majcirc 1\nn 1 k 1 depth 1\nwires 3\ngate 1:0 theta 1 : x1*1\ntop g1:0\n", 3),
+        ("majcirc 1\nn 2 k 2 depth 1\ngate 1:0 theta 1 : x1*1\n"
+         "gate 1:0 theta 1 : x2*1\ntop g1:0\n", 4),
+        ("majcirc 1\nn 1 k 1 depth 1\ngate 1:0 theta 1 : x1*1\ntop g1:0\ntop g1:0\n", 5),
+        ("majcirc 1\nn 1 k 1 depth 1\ngate 1:0 theta 1 : x1*1\n"
+         "gate 2:0 theta 1 : g1:0*1\ntop g1:0\n", 4),
+        ("majcirc 1\nn 1 k 1 depth 1\ngate 0:0 theta 1 : x1*1\ntop g1:0\n", 3),
+        ("majcirc 1\nn 1 k 1 depth 0\ngate 1:0 theta 1 : x1*1\ntop g1:0\n", 3),
+        ("majcirc 1\nn 1 k 1 depth 0\ntop g0:0\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(CircuitParseError) as err:
         parse_circuit(text)
     assert err.value.line == line
+
+
+def test_parse_memory_does_not_grow_with_declared_depth():
+    text = "majcirc 1\nn 1 k 1 depth 1000000\ngate 1:0 theta 1 : x1*1\ntop g1:0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 2
+    assert peak < 1 << 20
 
 
 def test_parse_rejects_fanin_over_declared_bound():

@@ -364,6 +364,12 @@ def test_verify_minmax_sampled_needs_seed():
         verify_minmax(published_circuit("n9"), samples=10)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_minmax_sampled_rejects_empty_run(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_minmax(published_circuit("n9"), samples=samples, seed=0)
+
+
 def test_verify_minmax_sampled_sees_errors():
     report = verify_minmax(constant_one_circuit(9), samples=400, seed=1)
     assert report.errors_by_weight == {4: 400}
@@ -574,6 +580,12 @@ def test_estimate_agreement_worker_count_does_not_change_the_report():
 def test_estimate_agreement_rejects_empty_run():
     with pytest.raises(ValueError):
         estimate_agreement(single_majority(3), 0, seed=0)
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, -1])
+def test_estimate_agreement_rejects_delta_outside_the_open_unit_interval(delta):
+    with pytest.raises(ValueError, match="delta must lie strictly between 0 and 1"):
+        estimate_agreement(single_majority(3), 100, seed=0, delta=delta)
 
 
 # -- report formats ----------------------------------------------------------
