@@ -131,6 +131,7 @@ def build_block_circuit(params: BlockParams) -> LayeredCircuit:
         block = tuple((v, 1) for v in range(b * p, (b + 1) * p))
         for m in ms:
             bottom.append(ThresholdGate(block, m))
+            block = bottom[-1].inputs  # checked once, shared by the block's gates
     theta_top = (n + 1) // 2 - (n // p) * (ms.start - 1)
     top = ThresholdGate(tuple((g, 1) for g in range(len(bottom))), theta_top)
     k = max(p, len(bottom))
@@ -155,7 +156,10 @@ def _closer_to_cbrt_sq(n: int, d1: int, d2: int) -> int:
 
 def block_window(p: int, alpha: float = DEFAULT_ALPHA) -> int:
     """Window width ceil(alpha*sqrt(p ln p)) for blocks of p, clamped to 1..p
-    so the threshold range is never empty and never leaves 1..p."""
+    so the threshold range is never empty and never leaves 1..p.  alpha must
+    be finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha={alpha} must be finite and positive")
     t = math.ceil(alpha * math.sqrt(p * math.log(p))) if p > 1 else 1
     return max(1, min(p, t))
 
@@ -244,11 +248,13 @@ def build_depth3(params: Depth3Params) -> LayeredCircuit:
         block = tuple((v, 1) for v in range(blk * p, (blk + 1) * p))
         for m in range(1, p + 1):
             layer1.append(ThresholdGate(block, m))
+            block = layer1[-1].inputs
     layer2 = []
     for y in depth3_y_blocks(params):
         refs = tuple((pos, 1) for pos in y)
         for m in middle_window(params):
             layer2.append(ThresholdGate(refs, m))
+            refs = layer2[-1].inputs
     top = ThresholdGate(tuple((g, 1) for g in range(len(layer2))), b * b + b)
     k = max(p, len(layer2))
     return LayeredCircuit(

@@ -10,6 +10,13 @@ Index conventions.  Gate input references are 0-based positions into the
 layer below (for layer 1, position i means variable number i+1).  Variable
 numbers in the public API and in the text format are 1-based, matching the
 usual x1..xn naming.
+
+Shared supports.  A gate's inputs are checked once and stored as a sorted
+tuple of a private type; a gate given such a tuple keeps it without a
+second check.  So gates that read one support (a block circuit has n/p
+distinct layer-1 supports among its thousands of gates) share one inputs
+object, and loading, checking and serializing a circuit cost work per
+distinct support, not per gate.
 """
 
 from __future__ import annotations
@@ -44,6 +51,17 @@ def majority_threshold(n: int) -> int:
     return (n + 1) // 2
 
 
+class _CheckedInputs(tuple):
+    """Gate inputs that passed ThresholdGate's check: sorted (position,
+    weight) pairs of ints, positions distinct and >= 0, weights >= 1.
+
+    Only that check makes one, so a gate given one skips the check and
+    shares the object with the gate it came from.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class ThresholdGate:
     """[sum of weight*input >= theta] over distinct input positions.
@@ -53,25 +71,30 @@ class ThresholdGate:
     weight).  theta may be any integer: theta <= 0 gives a constant-1 gate
     and theta > fanin a constant-0 gate, both occasionally useful as
     degenerate cases.
+
+    Pass one gate's ``inputs`` to other gates on the same support: they
+    share it, checked once.
     """
 
     inputs: tuple[tuple[int, int], ...]
     theta: int
 
     def __post_init__(self):
-        inputs = tuple(sorted((int(p), int(w)) for p, w in self.inputs))
-        if not inputs:
-            raise CircuitError("gate has no inputs")
-        seen = set()
-        for p, w in inputs:
-            if p < 0:
-                raise CircuitError(f"negative input position {p}")
-            if p in seen:
-                raise CircuitError(f"duplicate input position {p}")
-            seen.add(p)
-            if w < 1:
-                raise CircuitError(f"non-positive weight {w} on position {p}")
-        object.__setattr__(self, "inputs", inputs)
+        if type(self.inputs) is not _CheckedInputs:
+            pairs = [(int(p), int(w)) for p, w in self.inputs]
+            pairs.sort()
+            if not pairs:
+                raise CircuitError("gate has no inputs")
+            seen = set()
+            for p, w in pairs:
+                if p < 0:
+                    raise CircuitError(f"negative input position {p}")
+                if p in seen:
+                    raise CircuitError(f"duplicate input position {p}")
+                seen.add(p)
+                if w < 1:
+                    raise CircuitError(f"non-positive weight {w} on position {p}")
+            object.__setattr__(self, "inputs", _CheckedInputs(pairs))
         object.__setattr__(self, "theta", int(self.theta))
 
     @property
@@ -208,17 +231,23 @@ class LayeredCircuit:
         for d, layer in enumerate(layers, start=1):
             if not layer:
                 raise CircuitError(f"layer {d} is empty")
+            passed: set[int] = set()  # ids of inputs objects checked here
             for g, gate in enumerate(layer):
-                if gate.fanin > self.k:
+                inputs = gate.inputs
+                if id(inputs) in passed:
+                    continue
+                fanin = sum(w for _, w in inputs)
+                if fanin > self.k:
                     raise CircuitError(
-                        f"gate {d}:{g} fan-in {gate.fanin} exceeds bound k={self.k}"
+                        f"gate {d}:{g} fan-in {fanin} exceeds bound k={self.k}"
                     )
-                hi = gate.support[-1]
+                hi = inputs[-1][0]  # inputs are sorted by position
                 if hi >= width_below:
                     raise CircuitError(
                         f"gate {d}:{g} references position {hi} but layer below "
                         f"has width {width_below}"
                     )
+                passed.add(id(inputs))
             width_below = len(layer)
         if not 0 <= self.top < len(layers[-1]):
             raise CircuitError(f"top index {self.top} out of range for last layer")
@@ -300,16 +329,20 @@ _REF_RE = re.compile(r"^(x(\d+)|g(\d+):(\d+))\*(-?\d+)$")
 
 
 def serialize_circuit(c: LayeredCircuit) -> str:
-    lines = [_MAGIC, f"n {c.n} k {c.k} depth {c.depth}"]
+    # the text is joined once from pieces, each distinct body formatted once
+    parts = [f"{_MAGIC}\nn {c.n} k {c.k} depth {c.depth}\n"]
     for d, layer in enumerate(c.layers, start=1):
+        bodies: dict[int, str] = {}  # id of a shared inputs object -> its text
         for g, gate in enumerate(layer):
-            refs = " ".join(
-                (f"x{p + 1}*{w}" if d == 1 else f"g{d - 1}:{p}*{w}")
-                for p, w in gate.inputs
-            )
-            lines.append(f"gate {d}:{g} theta {gate.theta} : {refs}")
-    lines.append(f"top g{c.depth}:{c.top}")
-    return "\n".join(lines) + "\n"
+            refs = bodies.get(id(gate.inputs))
+            if refs is None:
+                refs = bodies[id(gate.inputs)] = " ".join(
+                    (f"x{p + 1}*{w}" if d == 1 else f"g{d - 1}:{p}*{w}")
+                    for p, w in gate.inputs
+                ) + "\n"
+            parts += (f"gate {d}:{g} theta {gate.theta} : ", refs)
+    parts.append(f"top g{c.depth}:{c.top}\n")
+    return "".join(parts)
 
 
 def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
@@ -347,6 +380,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
     # is the order of its line in the file, so lines may come in any order
     # across layers.
     rows: dict[int, dict[int, tuple[int, int, int, str]]] = {}
+    bodies: dict[str, str] = {}
     top_ref: tuple[int, int, int] | None = None
     for no, line in lines[2:]:
         if line.startswith("gate "):
@@ -359,7 +393,9 @@ def parse_circuit(text: str) -> LayeredCircuit:
             layer = rows.setdefault(d, {})
             if gid in layer:
                 raise CircuitParseError(no, f"duplicate gate id {d}:{gid}")
-            layer[gid] = (len(layer), no, int(m.group(3)), m.group(4))
+            body = m.group(4)
+            body = bodies.setdefault(body, body)  # one copy of a repeated body
+            layer[gid] = (len(layer), no, int(m.group(3)), body)
         elif line.startswith("top "):
             m = re.fullmatch(r"top g(\d+):(\d+)", line)
             if not m:
@@ -376,7 +412,15 @@ def parse_circuit(text: str) -> LayeredCircuit:
             raise CircuitParseError(lines[1][0], f"layer {d} has no gates")
         below = rows.get(d - 1, {})
         gates = []
+        # body text -> inputs of the first gate built from it, shared by the
+        # gates that repeat the body.  A body is kept only once its gate is
+        # built, so a bad body fails on the first line that carries it.
+        parsed: dict[str, tuple[tuple[int, int], ...]] = {}
         for _, no, theta, body in rows[d].values():
+            shared = parsed.get(body)
+            if shared is not None:
+                gates.append(ThresholdGate(shared, theta))
+                continue
             inputs = []
             for tok in body.split():
                 m = _REF_RE.fullmatch(tok)
@@ -404,9 +448,11 @@ def parse_circuit(text: str) -> LayeredCircuit:
                     pos = below[ref_id][0]
                 inputs.append((pos, int(m.group(5))))
             try:
-                gates.append(ThresholdGate(tuple(inputs), theta))
+                gate = ThresholdGate(tuple(inputs), theta)
             except CircuitError as e:
                 raise CircuitParseError(no, str(e)) from None
+            parsed[body] = gate.inputs
+            gates.append(gate)
         layers.append(tuple(gates))
 
     if top_ref is None:

@@ -152,7 +152,14 @@ def _sum_form(sigs: list, width: int, dtype: np.dtype) -> tuple[np.ndarray | Non
 def _compile_layer(gates: tuple[ThresholdGate, ...], width: int) -> tuple[LayerPlan, list]:
     """The layer's plan and its distinct supports in column order."""
     columns: dict[tuple, int] = {}
-    group = [columns.setdefault(g.inputs, len(columns)) for g in gates]
+    # gates on one support usually share one inputs object: hash it once
+    by_id: dict[int, int] = {}
+    group = []
+    for g in gates:
+        j = by_id.get(id(g.inputs))
+        if j is None:
+            j = by_id[id(g.inputs)] = columns.setdefault(g.inputs, len(columns))
+        group.append(j)
     sigs = list(columns)
     fanins = [sum(w for _, w in sig) for sig in sigs]
     dtype = _arithmetic(max(fanins) + 1)

@@ -85,6 +85,14 @@ def test_construct_block_bad_blocking():
     assert main(["construct", "block", "--n", "16", "--p", "5"]) == 2
 
 
+@pytest.mark.parametrize("alpha", ["-3", "nan", "0", "inf"])
+def test_construct_block_rejects_alpha_that_is_not_finite_and_positive(alpha, capsys):
+    assert main(["--alpha", alpha, "construct", "block", "--n", "64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: alpha={float(alpha)} must be finite and positive"]
+
+
 @pytest.mark.parametrize("n, p, window", [(4096, 16, 16), (2048, 1024, 253)])
 def test_construct_block_window_follows_p(n, p, window, tmp_path, capsys):
     """Without --window the width is block_window of the chosen --p."""

@@ -188,6 +188,38 @@ def test_gate_validation():
         ThresholdGate(((-1, 1),), theta=1)
 
 
+def test_gates_given_checked_inputs_share_them():
+    g = ThresholdGate(((2, 1), (0, 3)), theta=2)
+    assert g.inputs == ((0, 3), (2, 1))
+    h = ThresholdGate(g.inputs, theta=1)
+    assert h.inputs is g.inputs and h.theta == 1
+    # an equal plain tuple is checked again into a fresh object
+    plain = tuple(g.inputs)
+    assert type(plain) is tuple and plain == g.inputs
+    assert ThresholdGate(plain, theta=2).inputs is not plain
+    assert ThresholdGate(plain, theta=2) == g
+
+
+@pytest.mark.parametrize(
+    "inputs,message",
+    [
+        (((0, 1), (2, 0)), "non-positive weight 0 on position 2"),
+        (((0, 1), (0, 1)), "duplicate input position 0"),
+        (((1, 1), (-3, 1)), "negative input position -3"),
+    ],
+)
+def test_inputs_not_made_by_the_check_are_checked(inputs, message):
+    # only the check's own tuples skip it; plain tuples, lists and other
+    # tuple subclasses raise the same message as ever
+    class Pairs(tuple):
+        __slots__ = ()
+
+    for bad in (inputs, list(inputs), Pairs(inputs)):
+        with pytest.raises(CircuitError) as err:
+            ThresholdGate(bad, theta=1)
+        assert str(err.value) == message
+
+
 def test_gate_properties():
     g = majority_gate([4, 0, 0, 2])
     assert g.support == (0, 2, 4)
@@ -261,6 +293,23 @@ def test_circuit_rejects_dangling_reference():
     g = majority_gate([0, 5])
     with pytest.raises(CircuitError, match="width"):
         LayeredCircuit(n=4, k=4, layers=((g,),), top=0)
+
+
+def test_circuit_checks_each_distinct_support_after_shared_ones():
+    ok = majority_gate([0, 1])
+    shared = (ok, ThresholdGate(ok.inputs, 2))
+    wide = majority_gate([0, 1, 2, 3])
+    with pytest.raises(CircuitError) as err:
+        LayeredCircuit(n=4, k=3, layers=(shared + (wide,),), top=0)
+    assert str(err.value) == "gate 1:2 fan-in 4 exceeds bound k=3"
+    dangling = majority_gate([1, 4])
+    with pytest.raises(CircuitError) as err:
+        LayeredCircuit(n=4, k=3, layers=(shared + (ThresholdGate(ok.inputs, 0), dangling),), top=0)
+    assert str(err.value) == "gate 1:3 references position 4 but layer below has width 4"
+    # a support read by two layers is checked against each layer's width
+    below = (ok, majority_gate([2]))
+    with pytest.raises(CircuitError, match="gate 3:0 references position 1 but layer below has width 1"):
+        LayeredCircuit(n=4, k=3, layers=(below, (ThresholdGate(ok.inputs, 1),), (ok,)), top=0)
 
 
 def test_circuit_rejects_bad_top_and_empty_layer():
@@ -368,6 +417,45 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+def test_parse_reports_a_repeated_bad_body_on_its_first_line():
+    text = (
+        "majcirc 1\nn 2 k 2 depth 1\n"
+        "gate 1:0 theta 1 : x1*1 x2*1\n"
+        "gate 1:1 theta 2 : x1*1 x2*1\n"
+        "gate 1:2 theta 1 : x2*1 x2*1\n"
+        "gate 1:3 theta 2 : x2*1 x2*1\n"
+        "gate 1:4 theta 1 : x2*1 x2*1\n"
+        "top g1:0\n"
+    )
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert err.value.line == 5
+    assert err.value.reason == "duplicate input position 1"
+
+
+def test_parse_shares_inputs_between_gates_with_one_body():
+    text = (
+        "majcirc 1\nn 3 k 3 depth 2\n"
+        "gate 1:0 theta 1 : x1*1 x3*2\n"
+        "gate 1:1 theta 2 : x1*1 x3*2\n"
+        "gate 1:2 theta 2 : x3*2 x1*1\n"
+        "gate 2:0 theta 1 : g1:0*1 g1:2*2\n"
+        "gate 2:1 theta 3 : g1:0*1 g1:2*2\n"
+        "top g2:1\n"
+    )
+    c = parse_circuit(text)
+    first, second = c.layers
+    assert first[0].inputs is first[1].inputs
+    # the same pairs written in another order are another body
+    assert first[2].inputs == first[0].inputs and first[2].inputs is not first[0].inputs
+    assert second[0].inputs is second[1].inputs
+    # layer 2's body names the same positions as layer 1's, but reads gates
+    assert second[0].inputs == first[0].inputs and second[0].inputs is not first[0].inputs
+    assert serialize_circuit(c) == serialize_circuit(
+        LayeredCircuit(c.n, c.k, tuple(unshared(layer) for layer in c.layers), c.top)
+    )
+
+
 def test_parse_memory_does_not_grow_with_declared_depth():
     text = "majcirc 1\nn 1 k 1 depth 1000000\ngate 1:0 theta 1 : x1*1\ntop g1:0\n"
     tracemalloc.start()
@@ -437,6 +525,63 @@ def circuit_strategy(draw):
 @given(circuit_strategy())
 def test_round_trip_random_circuits(c):
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+def unshared(layer):
+    """The layer with every gate's inputs checked into an object of its own."""
+    return tuple(ThresholdGate(tuple(g.inputs), g.theta) for g in layer)
+
+
+def serialize_gate_by_gate(c: LayeredCircuit) -> str:
+    """The text format written one gate at a time, sharing nothing."""
+    lines = ["majcirc 1", f"n {c.n} k {c.k} depth {c.depth}"]
+    for d, layer in enumerate(c.layers, start=1):
+        for g, gate in enumerate(layer):
+            refs = " ".join(
+                f"x{p + 1}*{w}" if d == 1 else f"g{d - 1}:{p}*{w}" for p, w in gate.inputs
+            )
+            lines.append(f"gate {d}:{g} theta {gate.theta} : {refs}")
+    lines.append(f"top g{c.depth}:{c.top}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shared_circuit_strategy(draw):
+    """Random circuits whose gates repeat some supports: as one shared
+    inputs object, as an equal plain tuple, and, across layers, as the
+    same object read by gates of two layers."""
+    c = draw(circuit_strategy())
+    layers = []
+    for layer in c.layers:
+        gates = list(layer)
+        for _ in range(draw(st.integers(0, 3))):
+            src = draw(st.sampled_from(gates))
+            inputs = src.inputs if draw(st.booleans()) else tuple(src.inputs)
+            gates.insert(draw(st.integers(0, len(gates))), ThresholdGate(inputs, src.theta + 1))
+        layers.append(tuple(gates))
+    for d in range(1, len(layers)):
+        # a later layer may reuse an earlier layer's object where it fits
+        reuse = [g.inputs for g in layers[d - 1] if g.inputs[-1][0] < len(layers[d - 1])]
+        if reuse and draw(st.booleans()):
+            layers[d] = layers[d] + (ThresholdGate(draw(st.sampled_from(reuse)), 1),)
+    top = draw(st.integers(0, len(layers[-1]) - 1))
+    return LayeredCircuit(n=c.n, k=10**6, layers=tuple(layers), top=top)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_circuit_strategy())
+def test_round_trip_with_repeated_bodies_keeps_the_text(c):
+    text = serialize_circuit(c)
+    assert text == serialize_gate_by_gate(c)
+    back = parse_circuit(text)
+    assert back == c
+    assert serialize_circuit(back) == text
+    for parsed, built in zip(back.layers, c.layers):
+        # gates share inputs exactly when their bodies are equal
+        by_body = {}
+        for g in parsed:
+            assert by_body.setdefault(g.inputs, g.inputs) is g.inputs
+        assert len(by_body) == len({g.inputs for g in built})
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Exhaustive and sampled correctness checks against the majority function."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from majcirc.core import (
     majority_threshold,
     majority_value,
     parse_circuit,
+    serialize_circuit,
 )
 from majcirc.verify import (
     CapExceeded,
@@ -399,6 +401,50 @@ def test_verify_minmax_worker_count_does_not_change_the_report():
     base = verify_minmax(c, samples=300, seed=5, workers=1).to_json()
     assert verify_minmax(c, samples=300, seed=5, workers=2).to_json() == base
     assert verify_minmax(c, samples=300, seed=5, workers=4).to_json() == base
+
+
+# -- shared gate inputs -------------------------------------------------------
+
+
+def unshared(c: LayeredCircuit) -> LayeredCircuit:
+    """c with every gate's inputs checked into an object of its own."""
+    layers = tuple(
+        tuple(ThresholdGate(tuple(g.inputs), g.theta) for g in layer) for layer in c.layers
+    )
+    return LayeredCircuit(c.n, c.k, layers, c.top)
+
+
+def same_plan(x, y) -> bool:
+    """Field-by-field equality of plans, arrays compared with their dtypes."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            same_plan(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, tuple):
+        return type(y) is tuple and len(x) == len(y) and all(map(same_plan, x, y))
+    return type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_block_circuit(default_block_params(4096)),
+        lambda: build_depth3(Depth3Params(3)),
+    ],
+    ids=["block4096", "depth3_b3"],
+)
+def test_shared_inputs_compile_and_verify_like_unshared_ones(build):
+    c = parse_circuit(serialize_circuit(build()))
+    alone = unshared(c)
+    assert len({id(g.inputs) for g in c.layers[0]}) < len(c.layers[0])
+    assert len({id(g.inputs) for g in alone.layers[0]}) == len(alone.layers[0])
+    assert same_plan(compile_circuit(c), compile_circuit(alone))
+    assert not same_plan(compile_circuit(c), compile_circuit(build_depth3(Depth3Params(2))))
+    base = verify_minmax(alone, samples=1500, seed=8, chunk=500).to_json()
+    for workers in (1, 2):
+        assert verify_minmax(c, samples=1500, seed=8, chunk=500, workers=workers).to_json() == base
 
 
 # -- variable classes ---------------------------------------------------------
