@@ -280,15 +280,24 @@ class CircuitStats:
 
 
 def inspect_circuit(c: LayeredCircuit) -> CircuitStats:
-    gates = [g for _, _, g in c.gates()]
+    fanins: dict[int, int] = {}  # per distinct inputs object
+    max_fanin = max_weight = 0
+    all_standard = True
+    for _, _, g in c.gates():
+        fanin = fanins.get(id(g.inputs))
+        if fanin is None:
+            fanin = fanins[id(g.inputs)] = g.fanin
+            max_fanin = max(max_fanin, fanin)
+            max_weight = max(max_weight, g.max_weight)
+        all_standard = all_standard and g.theta == standard_theta(fanin)
     return CircuitStats(
         n=c.n,
         k=c.k,
         depth=c.depth,
-        gate_count=len(gates),
-        max_fanin=max(g.fanin for g in gates),
-        max_weight=max(g.max_weight for g in gates),
-        all_standard=all(g.is_standard() for g in gates),
+        gate_count=sum(len(layer) for layer in c.layers),
+        max_fanin=max_fanin,
+        max_weight=max_weight,
+        all_standard=all_standard,
     )
 
 

@@ -21,13 +21,16 @@ Variables whose weight columns into layer 1 are identical form a variable
 class; only the number of ones in each class matters to the circuit.  When
 the classes compress, i.e. a count row is no larger than a bit row
 (8 * C <= n for C classes), sampled verify_minmax draws each chunk's class
-counts directly: a multivariate hypergeometric draw by numpy's integer
-Fisher-Yates method, exactly uniform over the weight-w layer like the bit
-sampler.  Layer 1 then sums counts times class weights, which equals its
-sum on every bit row with those counts, so the report has the same law;
-later layers and the tally are unchanged.  The rule depends only on the
-circuit.  Circuits that do not compress (published, correlation) keep the
-bit sampler and its draws.
+counts directly: a multivariate hypergeometric draw, exactly uniform over
+the weight-w layer like the bit sampler.  With few large classes (block
+circuits) it is a rejection draw whose cost grows with C, not with n:
+exact Binomial(s_j, 1/2) counts for every class but the largest, which
+takes the rest, kept by one exact test; otherwise it is numpy's integer
+Fisher-Yates draw, O(min(w, n - w)) per row.  The choice reads only the
+class sizes and w.  Layer 1 then sums counts times class weights, which
+equals its sum on every bit row with those counts, so the report has the
+same law; later layers and the tally are unchanged.  Circuits that do
+not compress (published, correlation) keep the bit sampler and its draws.
 
 Every exhaustive job (verify_all, exact verify_minmax, truth_table) is a
 rank range that the worker decodes itself: a range of the 2^n input values,
@@ -45,6 +48,8 @@ worker processes produced it.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +74,10 @@ _DENSE_ADVANTAGE = 16
 # Class counts replace bit rows when C classes make a count row (int64) no
 # larger than a bit row (uint8): 8 * C <= n.
 _CLASS_COMPRESSION = 8
+
+# One table lookup of the rejection class draw costs about this many steps
+# of numpy's Fisher-Yates class draw.
+_REJECTION_COST = 4
 
 # Arithmetic by the largest value a layer compares: integers are exact up
 # to 2^24 in float32, whose products run on BLAS.  Every term of a sum is
@@ -480,17 +489,167 @@ def sample_layer_chunk(n: int, w: int, count: int, seed: int, chunk_index: int) 
     return np.ascontiguousarray(bits.T)
 
 
+def _binomials(s: int) -> list[int]:
+    """C(s, x) for x = 0..s, by C(s, x + 1) = C(s, x) (s - x) / (x + 1)."""
+    terms = [1]
+    for x in range(s):
+        terms.append(terms[-1] * (s - x) // (x + 1))
+    return terms
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_floors(s: int) -> np.ndarray:
+    """floor(2^64 * P(Bin(s, 1/2) <= x)) for x = 0..s-1, as uint64."""
+    cdf = itertools.accumulate(_binomials(s)[:-1])
+    floors = np.array([(c << 64) >> s for c in cdf], dtype=np.uint64)
+    floors.flags.writeable = False  # cached, shared by every caller
+    return floors
+
+
+@functools.lru_cache(maxsize=64)
+def _acceptance_floors(s: int) -> np.ndarray:
+    """floor(2^64 * C(s, b) / C(s, s // 2)) for b = 0..s, as uint64; the
+    ratio 1 at b = s // 2 is stored as 2^64 - 1 and settled as a tie."""
+    terms = _binomials(s)
+    top = terms[s // 2]
+    floors = np.array([min((t << 64) // top, 2**64 - 1) for t in terms], dtype=np.uint64)
+    floors.flags.writeable = False
+    return floors
+
+
+def _below(bits, words: list[int], num: int, den: int) -> bool:
+    """Whether V < num/den, exactly, for V uniform in [0, 1).
+
+    words holds V's leading 64-bit words, as drawn; further words come from
+    the bit generator bits and are appended, so comparisons of one V with
+    several fractions stay consistent.
+    """
+    v = k = 0
+    while True:
+        if len(words) == k:
+            words.append(int(bits.random_raw()))
+        v = v << 64 | words[k]
+        k += 1
+        scaled = num << 64 * k
+        if (v + 1) * den <= scaled:
+            return True
+        if v * den >= scaled:
+            return False
+
+
+def _binomial_draws(bits, s: int, count: int) -> np.ndarray:
+    """count exact Binomial(s, 1/2) draws, each the least y with
+    V < P(Bin(s, 1/2) <= y) for a uniform V in [0, 1).
+
+    A word strictly on one side of a table floor decides its comparison;
+    a word equal to one is settled by _below.
+    """
+    floors = _binomial_floors(s)
+    words = bits.random_raw(count)
+    ys = np.searchsorted(floors, words)
+    for i in np.flatnonzero(floors[np.minimum(ys, s - 1)] == words):
+        u, y = int(words[i]), int(ys[i])
+        terms, prefix = _binomials(s), [u]
+        cdf = sum(terms[: y + 1])
+        while y < s and int(floors[y]) == u and not _below(bits, prefix, cdf, 1 << s):
+            y += 1
+            cdf += terms[y]
+        ys[i] = y
+    return ys
+
+
+def _rejection_counts(sizes: np.ndarray, w: int, count: int, bits) -> np.ndarray:
+    """count exact multivariate hypergeometric rows by rejection.
+
+    The largest class L (lowest index on ties) takes the rest b of w after
+    independent Binomial(s_j, 1/2) draws for every other class j; a row is
+    kept when 0 <= b <= s_L and then with probability C(s_L, b) / C(s_L,
+    s_L // 2), and rejected rows are drawn again.  A kept row has
+    probability proportional to prod_j C(s_j, y_j), the hypergeometric law.
+    Proposals are written into the output rows they may become, one class
+    at a time, so the draw holds the output and O(rows) words besides.
+    """
+    big = int(np.argmax(sizes))
+    s_big = int(sizes[big])
+    others = [(j, s) for j, s in enumerate(sizes.tolist()) if j != big and s]
+    acceptance = _acceptance_floors(s_big)
+    top = math.comb(s_big, s_big // 2)
+    out = np.zeros((count, len(sizes)), dtype=np.int64)
+    pending = np.arange(count)
+    while len(pending):
+        rest = np.full(len(pending), w, dtype=np.int64)
+        for j, s in others:
+            ys = _binomial_draws(bits, s, len(pending))
+            out[pending, j] = ys
+            rest -= ys
+        out[pending, big] = rest
+        fits = (rest >= 0) & (rest <= s_big)
+        np.clip(rest, 0, s_big, out=rest)
+        words = bits.random_raw(len(pending))
+        floors = acceptance[rest]
+        keep = fits & (words < floors)
+        for i in np.flatnonzero(fits & (words == floors)):
+            keep[i] = _below(bits, [int(words[i])], math.comb(s_big, int(rest[i])), top)
+        pending = pending[~keep]
+    return out
+
+
+def _rejection_pays(sizes: np.ndarray, w: int) -> bool:
+    """Whether _REJECTION_COST * A * (C - 1) <= min(w, n - w), A being the
+    expected proposals per row of _rejection_counts and min(w, n - w) the
+    shuffle steps per row of numpy's "count" method.
+
+    A = 2^(n - s_L) C(s_L, s_L // 2) / C(n, w); its logarithm is compared
+    in floating point, and exactly when the two sides come within 1e-9.
+    """
+    n, s_big, c = int(sizes.sum()), int(sizes.max()), len(sizes)
+    steps = min(w, n - w)
+    if steps == 0:
+        return False
+
+    def log_comb(a: int, b: int) -> float:
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+    lhs = math.log(_REJECTION_COST * (c - 1)) + (n - s_big) * math.log(2)
+    lhs += log_comb(s_big, s_big // 2) - log_comb(n, w)
+    if abs(lhs - math.log(steps)) > 1e-9:
+        return lhs < math.log(steps)
+    cost = _REJECTION_COST * (c - 1) * math.comb(s_big, s_big // 2) << (n - s_big)
+    return cost <= steps * math.comb(n, w)
+
+
 def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_index: int) -> np.ndarray:
     """Class counts of count exact-uniform weight-w samples, as a (count, C) matrix.
 
     Row r holds the ones a uniform weight-w assignment puts in each class of
-    the given sizes, a multivariate hypergeometric draw.  numpy's "count"
-    method deals the w ones by an integer Fisher-Yates shuffle over exact
-    bounded integers, so the law is exact (its "marginals" method is faster
-    but rests on floating-point hypergeometric draws).  The chunk owns
-    stream (seed, "classes", n, w, index) regardless of which worker runs it.
+    the given sizes: a multivariate hypergeometric draw, P(y) = prod_j
+    C(s_j, y_j) / C(n, w).  Two exact draws give that law:
+
+    * rejection (_rejection_counts): Binomial(s_j, 1/2) proposals for all
+      classes but the largest, L, which takes the rest b; a row is kept with
+      probability C(s_L, b) / C(s_L, s_L // 2).  Each proposal costs C - 1
+      table lookups, and A = 2^(n - s_L) C(s_L, s_L // 2) / C(n, w)
+      proposals are expected per row.
+    * shuffle: numpy's "count" method, an integer Fisher-Yates over
+      min(w, n - w) of the n slots per row (its "marginals" method is
+      faster but rests on floating-point hypergeometric draws).
+
+    Rejection is taken when _REJECTION_COST * A * (C - 1) <= min(w, n - w),
+    a rule on the sizes and w alone.  Every random comparison is exact: a
+    64-bit word is compared with the floor of 2^64 times a probability, and
+    a word equal to that floor is settled by drawing further words.  One
+    class gets every one of the w ones.  The chunk owns stream (seed,
+    "classes", n, w, index) regardless of which worker runs it.
     """
-    rng = philox(seed, "classes", int(sizes.sum()), w, chunk_index)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = int(sizes.sum())
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} out of range 0..{n}")
+    if len(sizes) == 1:
+        return np.full((count, 1), w, dtype=np.int64)
+    rng = philox(seed, "classes", n, w, chunk_index)
+    if _rejection_pays(sizes, w):
+        return _rejection_counts(sizes, w, count, rng.bit_generator)
     return rng.multivariate_hypergeometric(sizes, w, size=count, method="count")
 
 

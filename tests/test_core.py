@@ -12,6 +12,7 @@ from majcirc.core import (
     Assignment,
     CircuitError,
     CircuitParseError,
+    CircuitStats,
     LayeredCircuit,
     ThresholdGate,
     eval_circuit,
@@ -29,7 +30,14 @@ from majcirc.core import (
     serialize_circuit,
     standard_theta,
 )
-from majcirc.construct import published_circuit, published_rows
+from majcirc.construct import (
+    Depth3Params,
+    build_block_circuit,
+    build_depth3,
+    default_block_params,
+    published_circuit,
+    published_rows,
+)
 
 
 def brute_eval(c: LayeredCircuit, a: Assignment) -> int:
@@ -346,6 +354,38 @@ def test_inspect_circuit_flags_nonstandard():
     stats = inspect_circuit(c)
     assert not stats.all_standard
     assert stats.gate_count == 1
+
+
+def shared_nonstandard() -> LayeredCircuit:
+    """Two gates on one inputs object, only the first standard."""
+    a = ThresholdGate(((0, 1), (1, 2), (2, 1)), theta=2)
+    b = ThresholdGate(a.inputs, theta=3)
+    top = majority_gate([0, 1])
+    return LayeredCircuit(n=3, k=4, layers=((a, b), (top,)), top=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_block_circuit(default_block_params(4096)),
+        lambda: build_depth3(Depth3Params(b=3)),
+        lambda: LayeredCircuit(n=3, k=3, layers=((ThresholdGate(((0, 1), (1, 1), (2, 1)), theta=3),),), top=0),
+        shared_nonstandard,
+    ],
+    ids=["block4096", "depth3-b3", "nonstandard", "shared-nonstandard"],
+)
+def test_inspect_circuit_matches_gate_by_gate_stats(build):
+    c = build()
+    gates = [g for _, _, g in c.gates()]
+    assert inspect_circuit(c) == CircuitStats(
+        n=c.n,
+        k=c.k,
+        depth=c.depth,
+        gate_count=len(gates),
+        max_fanin=max(g.fanin for g in gates),
+        max_weight=max(g.max_weight for g in gates),
+        all_standard=all(g.is_standard() for g in gates),
+    )
 
 
 # -- text format -------------------------------------------------------------

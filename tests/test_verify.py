@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -545,6 +546,163 @@ def test_class_counts_follow_the_hypergeometric_law():
         pmf = math.prod(math.comb(int(s), c) for s, c in zip(sizes, cell)) / math.comb(n, w)
         chi2 += (seen.get(cell, 0) - draws * pmf) ** 2 / (draws * pmf)
     assert chi2 < 42.31  # chi-square, 18 degrees of freedom, p = 0.001
+
+
+class ScriptedBits:
+    """A bit generator whose random_raw hands out the given 64-bit words."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0)
+        out = np.array(self.words[:size], dtype=np.uint64)
+        assert len(out) == size, "script ran out of words"
+        del self.words[:size]
+        return out
+
+
+def hypergeometric_cells(sizes, w):
+    """Every count row of weight w, with its hypergeometric probability."""
+    n = sum(sizes)
+    cells = [c for c in itertools.product(*(range(s + 1) for s in sizes)) if sum(c) == w]
+    return {c: math.prod(math.comb(s, x) for s, x in zip(sizes, c)) / math.comb(n, w) for c in cells}
+
+
+def draw_by_rejection(sizes, w, count, seed):
+    return verify._rejection_counts(np.array(sizes), w, count, np.random.Philox(seed))
+
+
+def draw_by_shuffle(sizes, w, count, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.multivariate_hypergeometric(sizes, w, size=count, method="count")
+
+
+# chi-square at p = 0.001: 23 degrees of freedom (w=6), 22 (w=5)
+@pytest.mark.parametrize("w,bound", [(6, 49.73), (5, 48.27)])
+@pytest.mark.parametrize("draw", [draw_by_rejection, draw_by_shuffle], ids=["rejection", "shuffle"])
+def test_each_class_draw_follows_the_law_on_unequal_sizes(draw, w, bound):
+    sizes, draws = [1, 2, 3, 6], 30000
+    pmf = hypergeometric_cells(sizes, w)
+    assert len(pmf) == 24 if w == 6 else 23
+    seen: dict[tuple, int] = {}
+    for row in draw(sizes, w, draws, 3).tolist():
+        seen[tuple(row)] = seen.get(tuple(row), 0) + 1
+    assert set(seen) <= set(pmf)
+    chi2 = sum((seen.get(c, 0) - draws * p) ** 2 / (draws * p) for c, p in pmf.items())
+    assert chi2 < bound
+
+
+def test_class_draw_choice_follows_the_cost_rule():
+    block = compile_circuit(build_block_circuit(default_block_params(4096))).sizes
+    assert verify._rejection_pays(block, 2048) and verify._rejection_pays(block, 2047)
+    assert not verify._rejection_pays(np.array([16] * 256), 2048)  # BlockParams(4096, 16, 4)
+    assert not verify._rejection_pays(np.array([5, 5]), 0)
+    # the float rule agrees with its exact integer form
+    for sizes in ([1, 2, 3, 6], [18] * 3, [8, 8], [64] * 64, [1, 40], [30, 2, 2, 2]):
+        n, big, c = sum(sizes), max(sizes), len(sizes)
+        for w in range(n + 1):
+            cost = verify._REJECTION_COST * (c - 1) * math.comb(big, big // 2) << (n - big)
+            exact = 0 < min(w, n - w) and cost <= min(w, n - w) * math.comb(n, w)
+            assert verify._rejection_pays(np.array(sizes), w) == exact, (sizes, w)
+
+
+def test_sample_class_counts_checks_its_weight_and_one_class():
+    with pytest.raises(ValueError, match="weight 13 out of range 0..12"):
+        sample_class_counts(np.array([4, 8]), 13, 5, seed=0, chunk_index=0)
+    with pytest.raises(ValueError, match="weight -1 out of range"):
+        sample_class_counts(np.array([4, 8]), -1, 5, seed=0, chunk_index=0)
+    rows = sample_class_counts(np.array([7]), 3, 4, seed=0, chunk_index=0)
+    assert rows.dtype == np.int64 and rows.tolist() == [[3]] * 4
+    assert sample_class_counts([7], 0, 1, seed=0, chunk_index=0).tolist() == [[0]]
+
+
+def reference_below(words, num, den):
+    """(V < num/den, words read) for V in [0, 1) beginning with words, or
+    None when the words do not decide it."""
+    bound = Fraction(num, den)
+    for k in range(1, len(words) + 1):
+        low = Fraction(int("".join(f"{u:064b}" for u in words[:k]), 2), 2 ** (64 * k))
+        if low + Fraction(1, 2 ** (64 * k)) <= bound:
+            return True, k
+        if low >= bound:
+            return False, k
+    return None
+
+
+def expansion_words(num, den, count):
+    """The first count 64-bit words of num/den in binary."""
+    return [(num << 64 * k) // den % 2**64 for k in range(1, count + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    den=st.integers(1, 2**200),
+    frac=st.floats(0, 1, exclude_max=True),
+    ties=st.integers(0, 3),
+    step=st.sampled_from([-1, 1, 2**40, -(2**40)]),
+)
+def test_below_settles_equal_words_exactly(den, frac, ties, step):
+    num = int(frac * den)
+    # the first words equal the expansion of num/den, the next one leaves it
+    words = expansion_words(num, den, ties + 1)
+    last = words[-1] + step
+    words[-1] = last if 0 <= last < 2**64 else words[-1] - step
+    want = reference_below(words, num, den)
+    assert want is not None  # dyadic num/den can be decided sooner
+    # the helper gets the leading word and draws the rest from the script
+    script = ScriptedBits(words[1:] + [12345])
+    prefix = words[:1]
+    assert verify._below(script, prefix, num, den) == want[0]
+    assert prefix == words[: want[1]]
+
+
+def test_below_on_exact_and_unit_fractions():
+    # V = 1/2 exactly is not below 1/2; one word short of it is
+    assert verify._below(ScriptedBits([]), [2**63], 1, 2) is False
+    assert verify._below(ScriptedBits([]), [2**63 - 1], 1, 2) is True
+    # every V is below 1, even with its leading word all ones
+    assert verify._below(ScriptedBits([]), [2**64 - 1], 6, 6) is True
+    # 1/3 = 0.0101...: tie twice, then decided by the third word
+    third = expansion_words(1, 3, 3)
+    assert verify._below(ScriptedBits([third[1], third[2] - 1]), [third[0]], 1, 3) is True
+    assert verify._below(ScriptedBits([third[1], third[2] + 1]), [third[0]], 1, 3) is False
+
+
+def test_rejection_draw_settles_ties_exactly():
+    # classes of 2 (the largest, L) and 1; Bin(1, 1/2) has floor 2^63
+    sizes = np.array([2, 1])
+    # class 1 draws 2^63 + 5: y = 1, so b = 0, kept with probability
+    # C(2, 0) / C(2, 1) = 1/2, whose floor 2^63 the word ties; V >= 1/2,
+    # so the row is rejected.  The redraw 0 gives y = 0, b = 1, ratio 1.
+    words = [2**63 + 5, 2**63, 0, 2**64 - 1]
+    assert verify._rejection_counts(sizes, 1, 1, ScriptedBits(words)).tolist() == [[1, 0]]
+    # a binomial word on its table floor: V = 1/2 is not below
+    # P(Bin(1, 1/2) <= 0) = 1/2, so y = 1 and b = 1, ratio 1
+    words = [2**63, 7]
+    assert verify._rejection_counts(sizes, 2, 1, ScriptedBits(words)).tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize("continuation,y", [(0, 0), (2**27, 0), (2**28, 1), (2**40, 2), (2**63, 8)])
+def test_binomial_draw_shares_one_continuation_across_tied_floors(continuation, y):
+    # Bin(100, 1/2): P(<= x) < 2^-64 for x up to 7, so those floors are 0
+    # and a leading word 0 ties all of them
+    assert verify._binomial_floors(100)[:9].tolist() == [0] * 8 + [2]
+    v = Fraction(continuation, 2**128)
+    cdf = itertools.accumulate(math.comb(100, x) for x in range(101))
+    assert y == sum(v >= Fraction(c, 2**100) for c in cdf)
+    assert verify._binomial_draws(ScriptedBits([0, continuation]), 100, 1).tolist() == [y]
+
+
+def test_probability_tables_are_exact_floors():
+    for s in (1, 2, 7, 64, 65, 300):
+        cdf = list(itertools.accumulate(math.comb(s, x) for x in range(s + 1)))
+        want = [c * 2**64 // 2**s for c in cdf[:-1]]
+        assert verify._binomial_floors(s).tolist() == want
+        top = math.comb(s, s // 2)
+        want = [min(math.comb(s, b) * 2**64 // top, 2**64 - 1) for b in range(s + 1)]
+        assert verify._acceptance_floors(s).tolist() == want
 
 
 def test_sampled_class_path_matches_exact_error_rate():
