@@ -44,14 +44,6 @@ EXIT_UNSAT = 3
 WORKERS_ENV = "MAJCIRC_WORKERS"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _positive(raw: str) -> int:
     try:
         value = int(raw)
@@ -142,18 +134,13 @@ def _cmd_verify(args) -> int:
     if args.all:
         report = verify.verify_all(c, workers=args.workers, cap=args.exhaustive_cap)
     elif args.minmax is not None:
-        if args.minmax == "exact":
-            report = verify.verify_minmax(
-                c, workers=args.workers, cap=args.layer_cap
-            )
-        else:
-            report = verify.verify_minmax(
-                c,
-                samples=args.samples,
-                seed=args.seed,
-                workers=args.workers,
-                cap=args.layer_cap,
-            )
+        report = verify.verify_minmax(
+            c,
+            samples=None if args.minmax == "exact" else args.samples,
+            seed=args.seed,
+            workers=args.workers,
+            cap=args.layer_cap,
+        )
     else:
         report = verify.estimate_agreement(
             c,
@@ -351,11 +338,13 @@ class _UsageError(Exception):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="majcirc", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    # argparse passes a string default through type=, so a bad environment
+    # value is a usage error unless --workers overrides it
     p.add_argument(
         "--workers",
         type=_positive,
-        default=_default_workers(),
-        help=f"worker processes (default from ${WORKERS_ENV} or 1)",
+        default=os.environ.get(WORKERS_ENV, "1"),
+        help=f"worker processes (default ${WORKERS_ENV}, else 1)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--exhaustive-cap", type=_positive, default=verify.EXHAUSTIVE_CAP)

@@ -39,7 +39,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,7 +53,7 @@ from .core import (
     majority_threshold,
     standard_theta,
 )
-from .verify import verify_all
+from .verify import _rows, verify_all
 
 DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
@@ -159,8 +159,8 @@ class SearchSpaceSpec:
     multiplicity at most multiplicity_max, under a fixed standard-majority
     top gate reading all k bottom gates.
 
-    standard_thresholds pins every bottom threshold to ceil((k+1)/2)... the
-    least majority threshold for weight k; switching it off adds the
+    standard_thresholds pins every bottom threshold to ceil(k/2), the
+    least integer at least k/2 (standard_theta); switching it off adds the
     threshold itself (1..k per gate) to the search.  multiplicity_max=1
     forbids repeated variables.  symmetry_breaking orders the gate rows.
     Every candidate is monotone, so the search constrains only the two
@@ -191,18 +191,21 @@ class SearchSpaceSpec:
         return standard_theta(self.k)
 
 
-def _critical_layers(n: int) -> list[tuple[np.ndarray, int]]:
+@functools.cache
+def _critical_layers(n: int) -> tuple[tuple[np.ndarray, int], ...]:
     """(ones, required output) per critical weight layer: the minterms
     (weight ceil(n/2), output 1), then the maxterms (one lighter, output
     0).  ones holds each input's one-positions as a row, in combinations
-    order."""
+    order, which is the layer's colex enumeration reversed.  Each n is
+    built once, since a sweep searches many spaces of one n, and its
+    arrays are read-only."""
     out = []
     for w, value in ((majority_threshold(n), 1), (majority_threshold(n) - 1, 0)):
         count = math.comb(n, w)
-        flat = chain.from_iterable(combinations(range(n), w))
-        ones = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+        ones = np.nonzero(_rows(n, w, 0, count)[::-1])[1].reshape(count, w)
+        ones.flags.writeable = False
         out.append((ones, value))
-    return out
+    return tuple(out)
 
 
 # -- CNF construction -------------------------------------------------------

@@ -30,7 +30,9 @@ Fisher-Yates draw, O(min(w, n - w)) per row.  The choice reads only the
 class sizes and w.  Layer 1 then sums counts times class weights, which
 equals its sum on every bit row with those counts, so the report has the
 same law; later layers and the tally are unchanged.  Circuits that do
-not compress (published, correlation) keep the bit sampler and its draws.
+not compress (published, correlation) keep the bit sampler: each bit
+column is drawn with numpy's exact bounded integers, one column at a
+time, in about 2 bytes per bit of the chunk.
 
 Every exhaustive job (verify_all, exact verify_minmax, truth_table) is a
 rank range that the worker decodes itself: a range of the 2^n input values,
@@ -55,7 +57,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -444,49 +446,25 @@ def verify_all(
 # -- weight-layer sampling ---------------------------------------------------
 
 
-def _bounded_uniform_rows(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.ndarray:
-    """Row i holds count exact-uniform draws from [0, bounds[i]).
-
-    One bulk draw of 32-bit words plus rejection of the (about 1 in 10^6)
-    words falling in the incomplete final cycle of each modulus, so the
-    result is exactly uniform rather than merely unbiased to float
-    precision.
-    """
-    words = rng.integers(0, 1 << 32, size=(len(bounds), count), dtype=np.uint32)
-    limits64 = ((1 << 32) // bounds) * bounds
-    # Bounds dividing 2^32 use every word; their limit wraps to 0 below and
-    # must be excluded from the rejection test.
-    partial = limits64 < (1 << 32)
-    limits = limits64.astype(np.uint32)
-    bad = (words >= limits[:, None]) & partial[:, None]
-    while bad.any():
-        rows, cols = np.nonzero(bad)
-        words[rows, cols] = rng.integers(0, 1 << 32, size=len(rows), dtype=np.uint32)
-        bad[rows, cols] = words[rows, cols] >= limits[rows]
-    np.mod(words, bounds[:, None].astype(np.uint32), out=words)
-    return words
-
-
 def sample_layer_chunk(n: int, w: int, count: int, seed: int, chunk_index: int) -> np.ndarray:
     """One chunk of exact-uniform weight-w samples as a (count, n) matrix.
 
-    Bits are drawn left to right with the exact conditional probability of a
-    one given how many ones remain, so the resulting vector is uniform over
-    the weight-w layer.  The chunk owns stream (seed, "layer", n, w, index)
-    regardless of which worker runs it.
+    Bits are drawn left to right: bit i is one when an exact-uniform integer
+    in [0, n - i) (numpy's bounded integers, drawn one column at a time) is
+    below the ones that remain, so the resulting vector is uniform over the
+    weight-w layer.  The bits and their transpose take about 2 bytes per
+    bit.  The chunk owns stream (seed, "layer", n, w, index) regardless of
+    which worker runs it.
     """
+    if not 0 <= w <= n:
+        raise ValueError(f"weight {w} out of range 0..{n}")
     rng = philox(seed, "layer", n, w, chunk_index)
-    bounds = np.arange(n, 0, -1, dtype=np.uint64)
-    u = _bounded_uniform_rows(rng, bounds, count)
     ones_left = np.full(count, w, dtype=np.uint32)
-    bits = np.empty((n, count), dtype=np.uint8)
-    take = np.empty(count, dtype=bool)
+    bits = np.empty((n, count), dtype=bool)
     for i in range(n):
-        np.less(u[i], ones_left, out=take)
-        row = bits[i]
-        np.copyto(row, take, casting="unsafe")
-        np.subtract(ones_left, row, out=ones_left, casting="unsafe")
-    return np.ascontiguousarray(bits.T)
+        np.less(rng.integers(0, n - i, size=count, dtype=np.uint32), ones_left, out=bits[i])
+        ones_left -= bits[i]
+    return np.ascontiguousarray(bits.T).view(np.uint8)
 
 
 def _binomials(s: int) -> list[int]:
@@ -653,13 +631,6 @@ def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_
     return rng.multivariate_hypergeometric(sizes, w, size=count, method="count")
 
 
-def sample_layer(n: int, w: int, count: int, seed: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    if not 0 <= w <= n:
-        raise ValueError(f"weight {w} out of range 0..{n}")
-    for index, lo, hi in _chunks(count, chunk):
-        yield sample_layer_chunk(n, w, hi - lo, seed, index)
-
-
 def verify_minmax(
     c: LayeredCircuit,
     *,
@@ -674,8 +645,8 @@ def verify_minmax(
     With samples=None both layers are enumerated exhaustively (subject to
     cap).  Otherwise each layer gets `samples` exact-uniform draws using the
     given seed, as class counts when the circuit's variable classes
-    compress and as bit rows otherwise.  n=1 has no weight-0..-1 layer below the threshold; the
-    lower layer is skipped when empty.
+    compress and as bit rows otherwise.  n=1 has no weight-0..-1 layer
+    below the threshold; the lower layer is skipped when empty.
     """
     n = c.n
     w_min = majority_threshold(n)

@@ -47,7 +47,7 @@ from majcirc.search import (
     run_solver,
     solve_spec,
 )
-from majcirc.verify import sample_layer, verify_all, verify_minmax, estimate_agreement
+from majcirc.verify import sample_layer_chunk, verify_all, verify_minmax, estimate_agreement
 
 ACCEPT_SEED = 7
 
@@ -112,12 +112,11 @@ def test_criterion_02_depth3_family(capfd):
     params = Depth3Params(b=3)
     window = middle_window(params)
     checked = 0
-    for chunk in sample_layer(params.n, params.n // 2, 10000, seed=ACCEPT_SEED):
-        for row in chunk:
-            a = Assignment(tuple(int(v) for v in row))
-            for w in middle_window_weights(params, a):
-                assert window.start <= w <= window[-1]
-            checked += 1
+    for row in sample_layer_chunk(params.n, params.n // 2, 10000, ACCEPT_SEED, 0):
+        a = Assignment(tuple(int(v) for v in row))
+        for w in middle_window_weights(params, a):
+            assert window.start <= w <= window[-1]
+        checked += 1
     assert checked == 10000
     announce(capfd, 2)
 

@@ -10,7 +10,7 @@ import pytest
 
 import majcirc
 from majcirc import search
-from majcirc.cli import main
+from majcirc.cli import WORKERS_ENV, build_parser, main
 from majcirc.construct import (
     CorrelationParams,
     build_correlation,
@@ -209,6 +209,32 @@ def test_global_flags_out_of_range_are_usage_errors(flag, value, n7_file, capsys
     err = capsys.readouterr().err
     if flag == "--delta":
         assert "error: delta must lie strictly between 0 and 1" in err
+
+
+@pytest.mark.parametrize(
+    "env, flag, workers",
+    [
+        (None, None, 1),
+        ("3", None, 3),
+        ("3", "2", 2),
+        ("0", "2", 2),
+        ("x", "2", 2),
+        ("0", None, None),
+        ("-3", None, None),
+        ("x", None, None),
+    ],
+)
+def test_workers_default_comes_from_the_environment(env, flag, workers, monkeypatch, n7_file, capsys):
+    if env is None:
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    argv = (["--workers", flag] if flag else []) + ["verify", n7_file, "--all"]
+    if workers is None:
+        assert main(argv) == 2
+        assert f"{env!r} is not a positive integer" in capsys.readouterr().err
+    else:
+        assert build_parser().parse_args(argv).workers == workers
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

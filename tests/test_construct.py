@@ -37,7 +37,7 @@ from majcirc.core import (
     parse_circuit,
     serialize_circuit,
 )
-from majcirc.verify import sample_layer, truth_table, verify_all
+from majcirc.verify import sample_layer_chunk, truth_table, verify_all
 
 
 # -- correlation circuits ----------------------------------------------------
@@ -254,7 +254,7 @@ def test_depth3_balanced_inputs_hit_the_window():
     """Weight-n/2 inputs drive every re-block weight into the middle window."""
     params = Depth3Params(b=3)
     window = middle_window(params)
-    rng_rows = next(sample_layer(params.n, params.n // 2, 50, seed=99))
+    rng_rows = sample_layer_chunk(params.n, params.n // 2, 50, 99, 0)
     for row in rng_rows:
         a = Assignment(tuple(int(v) for v in row))
         for w in middle_window_weights(params, a):

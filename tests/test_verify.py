@@ -44,7 +44,7 @@ from majcirc.verify import (
     eval_bulk,
     eval_counts,
     sample_class_counts,
-    sample_layer,
+    sample_layer_chunk,
     truth_table,
     verify_all,
     verify_minmax,
@@ -280,33 +280,51 @@ def test_chunks_tile_a_layer_once():
 
 
 def test_sample_layer_shapes_and_weights():
-    chunks = list(sample_layer(12, 5, 1000, seed=7, chunk=256))
-    total = sum(len(ch) for ch in chunks)
-    assert total == 1000
-    for ch in chunks:
-        assert ch.shape[1] == 12
-        assert (ch.sum(axis=1) == 5).all()
+    for n, w, count in [(12, 5, 1000), (9, 0, 40), (9, 9, 40), (1, 1, 3), (40, 20, 256)]:
+        rows = sample_layer_chunk(n, w, count, seed=7, chunk_index=2)
+        assert rows.shape == (count, n) and rows.dtype == np.uint8
+        assert (rows.sum(axis=1) == w).all()
+
+
+def test_sample_layer_rejects_weights_outside_the_layer():
+    for w in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_layer_chunk(5, w, 10, seed=0, chunk_index=0)
 
 
 def test_sample_layer_deterministic():
-    # each chunk owns a derived stream, so (seed, chunk) pins the draw exactly
-    a = np.concatenate(list(sample_layer(10, 4, 500, seed=3, chunk=64)))
-    b = np.concatenate(list(sample_layer(10, 4, 500, seed=3, chunk=64)))
-    assert (a == b).all()
-    c = np.concatenate(list(sample_layer(10, 4, 500, seed=4, chunk=64)))
-    assert not (a == c).all()
+    # each chunk owns a derived stream, so (seed, chunk index) pins the draw exactly
+    a = sample_layer_chunk(10, 4, 500, seed=3, chunk_index=1)
+    assert (a == sample_layer_chunk(10, 4, 500, seed=3, chunk_index=1)).all()
+    assert not (a == sample_layer_chunk(10, 4, 500, seed=4, chunk_index=1)).all()
+    assert not (a == sample_layer_chunk(10, 4, 500, seed=3, chunk_index=0)).all()
 
 
 def test_sample_layer_is_roughly_uniform():
-    n, w, count = 6, 3, 4000
-    rows = np.concatenate(list(sample_layer(n, w, count, seed=11)))
-    keys = {bits: 0 for bits in layer_rows(n, w)}
-    for row in rows:
-        keys[tuple(int(v) for v in row)] += 1
-    assert len(keys) == 20
-    expected = count / 20
-    for got in keys.values():
-        assert abs(got - expected) < 90  # ~6.5 standard deviations
+    # chi-square over every cell of the layer at p = 0.001: 19 degrees of
+    # freedom (n=6, w=3) and 34 (n=7, w=4)
+    for n, w, bound in [(6, 3, 43.82), (7, 4, 65.25)]:
+        cells = layer_rows(n, w)
+        draws = 1000 * len(cells)
+        rows = np.concatenate([sample_layer_chunk(n, w, draws // 2, seed=11, chunk_index=i) for i in range(2)])
+        seen = {bits: 0 for bits in cells}
+        for row in rows.tolist():
+            seen[tuple(row)] += 1
+        assert len(seen) == len(cells) == math.comb(n, w)
+        chi2 = sum((got - 1000) ** 2 / 1000 for got in seen.values())
+        assert chi2 < bound, (n, w, chi2)
+
+
+def test_sample_layer_memory_is_about_two_bytes_per_bit():
+    n, count = 1001, 8192
+    tracemalloc.start()
+    try:
+        rows = sample_layer_chunk(n, n // 2, count, seed=1, chunk_index=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (count, n)
+    assert peak < 2.5 * n * count, f"traced peak {peak / (n * count):.2f} bytes per bit"
 
 
 # -- critical-layer verification ---------------------------------------------
@@ -719,7 +737,8 @@ def test_sampled_class_path_matches_exact_error_rate():
 
 
 # Reports of circuits whose classes do not compress, as computed before
-# class sampling existed: they must keep their draws byte for byte.
+# class sampling existed (minmax-corr41 since the bit sampler draws one
+# column at a time): they must keep their draws byte for byte.
 PINNED_REPORTS = {
     "minmax-n9": '{"mode": "sample", "total_checked": 6000, "errors": 0, "agreement": "1", '
     '"checked_by_weight": {"4": 3000, "5": 3000}, "errors_by_weight": {}, "seed": 5}',
@@ -727,9 +746,9 @@ PINNED_REPORTS = {
     '"checked_by_weight": {"0": 5, "1": 55, "2": 223, "3": 446, "4": 761, "5": 742, "6": 501, '
     '"7": 214, "8": 43, "9": 10}, "errors_by_weight": {}, "seed": 5, '
     '"ci_halfwidth": 0.02971620592243688}',
-    "minmax-corr41": '{"mode": "sample", "total_checked": 6000, "errors": 2487, '
-    '"agreement": "1171/2000", "checked_by_weight": {"20": 3000, "21": 3000}, '
-    '"errors_by_weight": {"20": 1226, "21": 1261}, "seed": 5}',
+    "minmax-corr41": '{"mode": "sample", "total_checked": 6000, "errors": 2521, '
+    '"agreement": "3479/6000", "checked_by_weight": {"20": 3000, "21": 3000}, '
+    '"errors_by_weight": {"20": 1257, "21": 1264}, "seed": 5}',
     "agree-corr41": '{"mode": "sample", "total_checked": 3000, "errors": 563, '
     '"agreement": "2437/3000", "checked_by_weight": {"12": 6, "13": 25, "14": 59, "15": 100, '
     '"16": 138, "17": 205, "18": 269, "19": 338, "20": 366, "21": 361, "22": 330, "23": 275, '
