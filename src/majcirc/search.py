@@ -39,7 +39,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,7 +53,7 @@ from .core import (
     majority_threshold,
     standard_theta,
 )
-from .verify import _rows, verify_all
+from .verify import verify_all
 
 DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
@@ -191,21 +191,18 @@ class SearchSpaceSpec:
         return standard_theta(self.k)
 
 
-@functools.cache
-def _critical_layers(n: int) -> tuple[tuple[np.ndarray, int], ...]:
+def _critical_layers(n: int) -> list[tuple[np.ndarray, int]]:
     """(ones, required output) per critical weight layer: the minterms
     (weight ceil(n/2), output 1), then the maxterms (one lighter, output
     0).  ones holds each input's one-positions as a row, in combinations
-    order, which is the layer's colex enumeration reversed.  Each n is
-    built once, since a sweep searches many spaces of one n, and its
-    arrays are read-only."""
+    order."""
     out = []
     for w, value in ((majority_threshold(n), 1), (majority_threshold(n) - 1, 0)):
         count = math.comb(n, w)
-        ones = np.nonzero(_rows(n, w, 0, count)[::-1])[1].reshape(count, w)
-        ones.flags.writeable = False
+        flat = chain.from_iterable(combinations(range(n), w))
+        ones = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
         out.append((ones, value))
-    return tuple(out)
+    return out
 
 
 # -- CNF construction -------------------------------------------------------

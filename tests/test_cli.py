@@ -219,9 +219,11 @@ def test_global_flags_out_of_range_are_usage_errors(flag, value, n7_file, capsys
         ("3", "2", 2),
         ("0", "2", 2),
         ("x", "2", 2),
+        ("", "2", 2),
         ("0", None, None),
         ("-3", None, None),
         ("x", None, None),
+        ("", None, None),
     ],
 )
 def test_workers_default_comes_from_the_environment(env, flag, workers, monkeypatch, n7_file, capsys):
