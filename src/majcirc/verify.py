@@ -15,7 +15,14 @@ that each worker receives once.  Per layer the Plan holds the distinct
 weighted supports (one dense weight matrix or one gather per support), each
 gate's support column and threshold, and the arithmetic: float32 when it
 holds every value the layer compares (all circuits the package builds),
-else int64, else Python integers, so every sum is exact.
+else int64, else Python integers, so every sum is exact.  A layer whose
+gates share supports (block and depth-3 circuits put many thresholds on
+one block sum) hands up its support sums, not one 0/1 column per gate:
+the layer above reads each of them through a step table, its gates'
+sorted thresholds and cumulative weights looked up by binary search, and
+only the top gate compares a sum with a threshold.  Layers whose gates
+each have a support of their own (published, correlation) hand up 0/1
+outputs.
 
 Variables whose weight columns into layer 1 are identical form a variable
 class; only the number of ones in each class matters to the circuit.  When
@@ -32,7 +39,7 @@ equals its sum on every bit row with those counts, so the report has the
 same law; later layers and the tally are unchanged.  Circuits that do
 not compress (published, correlation) keep the bit sampler: each bit
 column is drawn with numpy's exact bounded integers, one column at a
-time, in about 2 bytes per bit of the chunk.
+time, in about 1 byte per bit of the chunk.
 
 Every exhaustive job (verify_all, exact verify_minmax, truth_table) is a
 rank range that the worker decodes itself: a range of the 2^n input values,
@@ -103,13 +110,29 @@ def _arithmetic(top: int) -> np.dtype:
 class LayerPlan:
     """One compiled layer of gates.
 
-    The distinct weighted supports of the gates give the sum columns: one
-    product with `matrix` (width x supports) when it is set, else one
-    gather per `supports` entry (positions as a slice or index array, and
-    weights, None when all are 1).  Gate g fires when sum column group[g]
-    reaches theta[g]; group is None when gate g reads column g.  Thresholds
-    are clamped into 0..fanin+1, which keeps every gate's truth table, so
-    dtype holds the largest fan-in plus one exactly.
+    The distinct weighted supports of the gates give the sum columns.  Gate
+    g fires when sum column group[g] reaches theta[g]; group is None when
+    gate g reads column g.  Thresholds are clamped into 0..fanin+1, which
+    keeps every gate's truth table, so dtype holds the largest fan-in plus
+    one exactly.
+
+    A layer with group None hands its gates' 0/1 outputs up; a layer with
+    group set hands up its sums, and compile_circuit reads its group and
+    theta into the next layer's `steps`.  _run reads group to tell the two
+    apart, and the last layer's group and theta for the top gate.  The
+    sums of a layer come from what it reads:
+
+    * the sums of a layer below with group set: `steps` holds, per support
+      T, one (S, thresholds, cumulative) step table for each support S
+      below that T's gates sit on.  T's sum adds up cumulative[
+      searchsorted(thresholds, sum_S, side="right")], the weights of T's
+      gates on S whose clamped threshold sum_S reaches.  Thresholds are
+      sorted, in the dtype of the layer below; cumulative starts at 0, in
+      this layer's dtype.
+    * 0/1 outputs, bits or class counts: one product with `matrix` (width
+      x supports) when it is set, else one gather per `supports` entry
+      (positions as a slice or index array, and weights, None when all are
+      1); steps is None.
     """
 
     dtype: np.dtype
@@ -117,12 +140,15 @@ class LayerPlan:
     group: np.ndarray | None
     matrix: np.ndarray | None
     supports: tuple
+    steps: tuple | None
 
 
 @dataclass(frozen=True)
 class Plan:
     """A circuit compiled for bulk evaluation.
 
+    layers[d] reads the sums of layers[d - 1] through step tables when the
+    gates of layers[d - 1] share supports, and its 0/1 outputs otherwise.
     Variables with identical weight columns into layer 1 form a class,
     classes numbered in order of their first variable; sizes[j] is the size
     of class j.  classes is layer 1 reading class counts in place of bits;
@@ -160,8 +186,27 @@ def _sum_form(sigs: list, width: int, dtype: np.dtype) -> tuple[np.ndarray | Non
     return None, tuple(supports)
 
 
-def _compile_layer(gates: tuple[ThresholdGate, ...], width: int) -> tuple[LayerPlan, list]:
-    """The layer's plan and its distinct supports in column order."""
+def _step_tables(sigs: list, below: LayerPlan, dtype: np.dtype) -> tuple:
+    """Step tables of the supports sigs over the sums of the layer below."""
+    group, theta = below.group.tolist(), below.theta.tolist()
+    tables = []
+    for sig in sigs:
+        by_support: dict[int, list] = {}
+        for p, w in sig:
+            by_support.setdefault(group[p], []).append((theta[p], w))
+        parts = []
+        for s in sorted(by_support):
+            steps = sorted(by_support[s])
+            thresholds = np.array([t for t, _ in steps], dtype=below.dtype)
+            cumulative = np.array([0, *itertools.accumulate(w for _, w in steps)], dtype=dtype)
+            parts.append((s, thresholds, cumulative))
+        tables.append(tuple(parts))
+    return tuple(tables)
+
+
+def _compile_layer(gates: tuple[ThresholdGate, ...], width: int, below: LayerPlan | None) -> tuple[LayerPlan, list]:
+    """The layer's plan and its distinct supports in column order; below is
+    the compiled layer under it, None for layer 1."""
     columns: dict[tuple, int] = {}
     # gates on one support usually share one inputs object: hash it once
     by_id: dict[int, int] = {}
@@ -175,18 +220,20 @@ def _compile_layer(gates: tuple[ThresholdGate, ...], width: int) -> tuple[LayerP
     fanins = [sum(w for _, w in sig) for sig in sigs]
     dtype = _arithmetic(max(fanins) + 1)
     theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)
-    matrix, supports = _sum_form(sigs, width, dtype)
     # with every support distinct, setdefault numbered gate g's column g
     grouped = None if len(sigs) == len(gates) else np.asarray(group, dtype=np.intp)
-    return LayerPlan(dtype, theta, grouped, matrix, supports), sigs
+    if below is not None and below.group is not None:
+        return LayerPlan(dtype, theta, grouped, None, (), _step_tables(sigs, below, dtype)), sigs
+    matrix, supports = _sum_form(sigs, width, dtype)
+    return LayerPlan(dtype, theta, grouped, matrix, supports, None), sigs
 
 
 def compile_circuit(c: LayeredCircuit) -> Plan:
     """Compile c once for eval_bulk, the workers and the class sampler."""
-    first, sigs = _compile_layer(c.layers[0], c.n)
-    rest = tuple(
-        _compile_layer(gates, len(below))[0] for below, gates in zip(c.layers, c.layers[1:])
-    )
+    first, sigs = _compile_layer(c.layers[0], c.n, None)
+    layers = [first]
+    for lower, gates in zip(c.layers, c.layers[1:]):
+        layers.append(_compile_layer(gates, len(lower), layers[-1])[0])
     # a variable's weight column into layer 1, as (support, weight) pairs
     var_columns: list[list[tuple[int, int]]] = [[] for _ in range(c.n)]
     for j, sig in enumerate(sigs):
@@ -205,32 +252,45 @@ def compile_circuit(c: LayeredCircuit) -> Plan:
                 class_sigs[j].append((cls, w))
         matrix, supports = _sum_form(class_sigs, len(ids), first.dtype)
         classes = dataclasses.replace(first, matrix=matrix, supports=supports)
-    return Plan(c.n, c.top, (first, *rest), sizes, classes)
+    return Plan(c.n, c.top, tuple(layers), sizes, classes)
 
 
-def _fire(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
-    """0/1 outputs of a compiled layer on a batch of rows."""
+def _sums(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
+    """Sum columns of a compiled layer on a batch of rows: the sums of the
+    layer below when lp.steps is set, else 0/1 outputs, bits or counts."""
+    if lp.steps is not None:
+        sums = np.zeros((rows.shape[0], len(lp.steps)), dtype=lp.dtype)
+        for t, parts in enumerate(lp.steps):
+            for s, thresholds, cumulative in parts:
+                sums[:, t] += cumulative[np.searchsorted(thresholds, rows[:, s], side="right")]
+        return sums
     if lp.matrix is not None:
-        sums = rows.astype(lp.dtype) @ lp.matrix
-    else:
-        sums = np.empty((rows.shape[0], len(lp.supports)), dtype=lp.dtype)
-        for j, (idx, wts) in enumerate(lp.supports):
-            cols = rows[:, idx]
-            if wts is None:
-                sums[:, j] = cols.sum(axis=1, dtype=lp.dtype)
-            else:
-                sums[:, j] = cols.astype(lp.dtype) @ wts
-    if lp.group is not None:
-        sums = sums.take(lp.group, axis=1)
-    return np.greater_equal(sums, lp.theta).view(np.uint8)
+        return rows.astype(lp.dtype) @ lp.matrix
+    sums = np.empty((rows.shape[0], len(lp.supports)), dtype=lp.dtype)
+    for j, (idx, wts) in enumerate(lp.supports):
+        cols = rows[:, idx]
+        if wts is None:
+            sums[:, j] = cols.sum(axis=1, dtype=lp.dtype)
+        else:
+            sums[:, j] = cols.astype(lp.dtype) @ wts
+    return sums
 
 
 def _run(plan: Plan, rows: np.ndarray, first: LayerPlan) -> np.ndarray:
-    """Top-gate outputs, with layer 1 compiled as `first` reading rows."""
-    values = _fire(first, rows)
-    for lp in plan.layers[1:]:
-        values = _fire(lp, values)
-    return values[:, plan.top]
+    """Top-gate outputs, with layer 1 compiled as `first` reading rows.
+
+    A layer with shared supports hands its sums to the next layer's step
+    tables; any other layer hands up its gates' 0/1 outputs.  Only the top
+    gate compares the last layer's sums with a threshold.
+    """
+    *below, last = (first, *plan.layers[1:])
+    values = rows
+    for lp in below:
+        values = _sums(lp, values)
+        if lp.group is None:
+            values = np.greater_equal(values, lp.theta).view(np.uint8)
+    column = plan.top if last.group is None else last.group[plan.top]
+    return np.greater_equal(_sums(last, values)[:, column], last.theta[plan.top]).view(np.uint8)
 
 
 def eval_bulk(c: LayeredCircuit | Plan, bits: np.ndarray) -> np.ndarray:
@@ -452,9 +512,9 @@ def sample_layer_chunk(n: int, w: int, count: int, seed: int, chunk_index: int) 
     Bits are drawn left to right: bit i is one when an exact-uniform integer
     in [0, n - i) (numpy's bounded integers, drawn one column at a time) is
     below the ones that remain, so the resulting vector is uniform over the
-    weight-w layer.  The bits and their transpose take about 2 bytes per
-    bit.  The chunk owns stream (seed, "layer", n, w, index) regardless of
-    which worker runs it.
+    weight-w layer.  The rows are the F-ordered transpose of the column
+    draws, about 1 byte per bit.  The chunk owns stream (seed, "layer", n,
+    w, index) regardless of which worker runs it.
     """
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range 0..{n}")
@@ -464,7 +524,7 @@ def sample_layer_chunk(n: int, w: int, count: int, seed: int, chunk_index: int) 
     for i in range(n):
         np.less(rng.integers(0, n - i, size=count, dtype=np.uint32), ones_left, out=bits[i])
         ones_left -= bits[i]
-    return np.ascontiguousarray(bits.T).view(np.uint8)
+    return bits.T.view(np.uint8)
 
 
 def _binomials(s: int) -> list[int]:

@@ -118,10 +118,10 @@ def tiered_circuits(draw):
     return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top), dtype
 
 
-@settings(max_examples=300, deadline=None)
-@given(tiered_circuits())
-def test_eval_bulk_matches_eval_layers_in_every_tier(case):
-    c, dtype = case
+def assert_matches_eval_circuit(c: LayeredCircuit, dtype) -> None:
+    """eval_bulk equals eval_circuit on every input, with all layer sums
+    gathered and with all of them dense, and the plan takes step tables
+    exactly above the layers whose gates share supports."""
     rows = np.array(list(itertools.product((0, 1), repeat=c.n)), dtype=np.uint8)
     expect = [eval_circuit(c, Assignment(tuple(int(v) for v in row))) for row in rows]
     for advantage in (0, math.inf):  # all gather sums, then all dense products
@@ -129,8 +129,55 @@ def test_eval_bulk_matches_eval_layers_in_every_tier(case):
             mp.setattr(verify, "_DENSE_ADVANTAGE", advantage)
             plan = compile_circuit(c)
         assert plan.layers[0].dtype == dtype
-        assert all((lp.matrix is not None) == bool(advantage) for lp in plan.layers)
+        for below, lp in zip(plan.layers, plan.layers[1:]):
+            assert (lp.steps is not None) == (below.group is not None)
+        assert all((lp.matrix is not None) == (bool(advantage) and lp.steps is None) for lp in plan.layers)
         assert eval_bulk(plan, rows).tolist() == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiered_circuits())
+def test_eval_bulk_matches_eval_layers_in_every_tier(case):
+    assert_matches_eval_circuit(*case)
+
+
+@st.composite
+def shared_support_circuits(draw):
+    """Circuits of two or three layers whose gates share supports: each
+    weighted support carries one to four thresholds, near its subset sums,
+    anywhere in -2..fanin+2, or far outside it (+-2^70, past int64)."""
+    lo, hi, dtype = draw(st.sampled_from(TIERS))
+    n = draw(st.integers(1, 6))
+    layers = []
+    width = n
+    for _ in range(draw(st.integers(2, 3))):
+        gates = []
+        for _ in range(draw(st.integers(1, 3))):
+            support = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=min(width, 6), unique=True))
+            weights = [draw(st.integers(lo, hi)) for _ in support]
+            first = None
+            for _ in range(draw(st.integers(1, 4))):
+                picked = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+                near = sum(w for w, on in zip(weights, picked) if on) + draw(st.integers(-1, 1))
+                theta = draw(st.one_of(
+                    st.just(near), st.integers(-2, sum(weights) + 2), st.sampled_from([-(2**70), 2**70])
+                ))
+                # gates on one support share one inputs object or check their own
+                inputs = first.inputs if first and draw(st.booleans()) else tuple(zip(support, weights))
+                gate = ThresholdGate(inputs, theta)
+                first = first or gate
+                gates.append(gate)
+        layers.append(tuple(draw(st.permutations(gates))))
+        width = len(gates)
+    k = max(g.fanin for layer in layers for g in layer)
+    top = draw(st.integers(0, width - 1))
+    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top), dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_support_circuits())
+def test_step_tables_match_eval_circuit_in_every_tier(case):
+    assert_matches_eval_circuit(*case)
 
 
 def test_truth_table_single_gate():
@@ -315,7 +362,7 @@ def test_sample_layer_is_roughly_uniform():
         assert chi2 < bound, (n, w, chi2)
 
 
-def test_sample_layer_memory_is_about_two_bytes_per_bit():
+def test_sample_layer_memory_is_about_one_byte_per_bit():
     n, count = 1001, 8192
     tracemalloc.start()
     try:
@@ -324,7 +371,7 @@ def test_sample_layer_memory_is_about_two_bytes_per_bit():
     finally:
         tracemalloc.stop()
     assert rows.shape == (count, n)
-    assert peak < 2.5 * n * count, f"traced peak {peak / (n * count):.2f} bytes per bit"
+    assert peak < 1.25 * n * count, f"traced peak {peak / (n * count):.2f} bytes per bit"
 
 
 # -- critical-layer verification ---------------------------------------------
@@ -434,7 +481,8 @@ def unshared(c: LayeredCircuit) -> LayeredCircuit:
 
 
 def same_plan(x, y) -> bool:
-    """Field-by-field equality of plans, arrays compared with their dtypes."""
+    """Field-by-field equality of plans, arrays compared with their dtypes;
+    step tables are tuples of (support, thresholds, cumulative) entries."""
     if isinstance(x, np.ndarray):
         return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
     if dataclasses.is_dataclass(x):
@@ -459,11 +507,48 @@ def test_shared_inputs_compile_and_verify_like_unshared_ones(build):
     alone = unshared(c)
     assert len({id(g.inputs) for g in c.layers[0]}) < len(c.layers[0])
     assert len({id(g.inputs) for g in alone.layers[0]}) == len(alone.layers[0])
-    assert same_plan(compile_circuit(c), compile_circuit(alone))
-    assert not same_plan(compile_circuit(c), compile_circuit(build_depth3(Depth3Params(2))))
+    plan = compile_circuit(c)
+    assert same_plan(plan, compile_circuit(alone))
+    assert not same_plan(plan, compile_circuit(build_depth3(Depth3Params(2))))
+    # one step moved in the top gate's first table is a different plan
+    top = plan.layers[-1]
+    (s, thresholds, cumulative), *rest = top.steps[0]
+    moved = dataclasses.replace(top, steps=(((s, thresholds + 1, cumulative), *rest), *top.steps[1:]))
+    assert not same_plan(plan, dataclasses.replace(plan, layers=(*plan.layers[:-1], moved)))
     base = verify_minmax(alone, samples=1500, seed=8, chunk=500).to_json()
     for workers in (1, 2):
         assert verify_minmax(c, samples=1500, seed=8, chunk=500, workers=workers).to_json() == base
+
+
+def test_step_tables_follow_the_plan_shape():
+    # one gate per support: every layer hands up its gates' 0/1 outputs
+    for c in (published_circuit("n9"), build_correlation(CorrelationParams(n=41, k=9, seed=3))):
+        plan = compile_circuit(c)
+        assert all(lp.group is None and lp.steps is None for lp in plan.layers)
+    # many thresholds per support: every layer above the first reads the
+    # sums below through one step table per pair of supports
+    block = compile_circuit(build_block_circuit(default_block_params(4096)))
+    depth3 = compile_circuit(build_depth3(Depth3Params(3)))
+    for plan, pairs in ((block, [16]), (depth3, [9, 3])):
+        above = plan.layers[1:]
+        assert all(lp.steps is not None and lp.matrix is None and lp.supports == () for lp in above)
+        assert [sum(map(len, lp.steps)) for lp in above] == pairs
+    assert sum(len(thresholds) for _, thresholds, _ in block.layers[1].steps[0]) == 1840
+
+
+def test_eval_counts_memory_stays_per_support():
+    # per-gate sum columns would take 8192 x 1840 float32s, about 60 MB
+    plan = compile_circuit(build_block_circuit(default_block_params(4096)))
+    w = majority_threshold(4096)
+    counts = sample_class_counts(plan.sizes, w, 8192, seed=1, chunk_index=0)
+    tracemalloc.start()
+    try:
+        out = eval_counts(plan, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [1] * 8192
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 # -- variable classes ---------------------------------------------------------
