@@ -108,6 +108,13 @@ def block_threshold_range(p: int, window_t: int) -> range:
     return range(lo, hi + 1)
 
 
+def _threshold_run(support, thetas: range) -> list[ThresholdGate]:
+    """One gate per threshold over the unit-weight positions in support; the
+    gates share the first gate's inputs, checked once."""
+    first = ThresholdGate(tuple((v, 1) for v in support), thetas[0])
+    return [first, *(ThresholdGate(first.inputs, m) for m in thetas[1:])]
+
+
 def build_block_circuit(params: BlockParams) -> LayeredCircuit:
     """Window thresholds per block, pooled by an imbalance-corrected top gate.
 
@@ -128,10 +135,7 @@ def build_block_circuit(params: BlockParams) -> LayeredCircuit:
         raise ValueError(f"empty threshold window for p={p}, window_t={params.window_t}")
     bottom = []
     for b in range(n // p):
-        block = tuple((v, 1) for v in range(b * p, (b + 1) * p))
-        for m in ms:
-            bottom.append(ThresholdGate(block, m))
-            block = bottom[-1].inputs  # checked once, shared by the block's gates
+        bottom += _threshold_run(range(b * p, (b + 1) * p), ms)
     theta_top = (n + 1) // 2 - (n // p) * (ms.start - 1)
     top = ThresholdGate(tuple((g, 1) for g in range(len(bottom))), theta_top)
     k = max(p, len(bottom))
@@ -243,18 +247,11 @@ def build_depth3(params: Depth3Params) -> LayeredCircuit:
     fails on every input of weight n/2 - 1 once b >= 2.
     """
     b, n, p = params.b, params.n, params.p
-    layer1 = []
+    layer1, layer2 = [], []
     for blk in range(b):
-        block = tuple((v, 1) for v in range(blk * p, (blk + 1) * p))
-        for m in range(1, p + 1):
-            layer1.append(ThresholdGate(block, m))
-            block = layer1[-1].inputs
-    layer2 = []
+        layer1 += _threshold_run(range(blk * p, (blk + 1) * p), range(1, p + 1))
     for y in depth3_y_blocks(params):
-        refs = tuple((pos, 1) for pos in y)
-        for m in middle_window(params):
-            layer2.append(ThresholdGate(refs, m))
-            refs = layer2[-1].inputs
+        layer2 += _threshold_run(y, middle_window(params))
     top = ThresholdGate(tuple((g, 1) for g in range(len(layer2))), b * b + b)
     k = max(p, len(layer2))
     return LayeredCircuit(

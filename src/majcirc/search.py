@@ -24,9 +24,9 @@ engines constrain only these two critical layers (_critical_layers).
 
 The last section builds, for any depth-2 circuit of n-2 standard majority
 gates over n-2 distinct variables each, an explicit minterm the circuit
-gets wrong: gates correspond to edges of a multigraph on the variables
-(each gate contributes the pair it omits), and a careful coloring of
-(n-1)/2 vertices leaves too few gates firing.
+gets wrong: gates are the edges of a multigraph on the variables (each
+joins the pair it omits), and coloring (n-1)/2 vertices, whole components
+and the tail of one component's breadth-first order, fires too few gates.
 """
 
 from __future__ import annotations
@@ -839,6 +839,10 @@ def exhaustive_search(
 
 @dataclass(frozen=True)
 class GraphComponent:
+    """A connected component of an OmissionGraph.  ``vertices`` is its
+    breadth-first order from its lowest vertex, neighbours in ascending
+    order, so every vertex but the first comes after its BFS parent."""
+
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -864,20 +868,19 @@ class OmissionGraph:
             adj[j].append(i)
         seen: set[int] = set()
         comps = []
-        for v in range(1, self.n + 1):
-            if v in seen:
+        for root in range(1, self.n + 1):
+            if root in seen:
                 continue
-            stack, members = [v], set()
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                members.add(u)
-                for w in adj[u]:
+            seen.add(root)
+            order = [root]
+            for u in order:  # the queue is the order itself, read as it grows
+                for w in sorted(adj[u]):
                     if w not in seen:
                         seen.add(w)
-                        stack.append(w)
+                        order.append(w)
+            members = set(order)
             cedges = tuple(e for e in self.edges if e[0] in members)
-            comps.append(GraphComponent(tuple(sorted(members)), cedges))
+            comps.append(GraphComponent(tuple(order), cedges))
         return tuple(comps)
 
     @property
@@ -888,8 +891,8 @@ class OmissionGraph:
 def _fooling_preconditions(c: LayeredCircuit) -> list[tuple[int, int]]:
     """Validate the fan-in n-2 shape and return the omitted pair per gate."""
     n = c.n
-    if n % 2 == 0:
-        raise ValueError("the construction needs an odd number of variables")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"the construction needs an odd n >= 3, got n={n}")
     if c.depth != 2:
         raise ValueError(f"depth-2 circuit required, got depth {c.depth}")
     k = n - 2
@@ -924,55 +927,6 @@ def omission_graph(c: LayeredCircuit) -> OmissionGraph:
     return OmissionGraph(c.n, tuple(_fooling_preconditions(c)))
 
 
-def _peel_order(vertices: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Leaf-peeling order of a tree: repeatedly remove the lowest-index leaf.
-
-    Peeling j < v(T) vertices touches exactly j edges, which is the bound
-    the coloring argument needs.
-    """
-    degree = {v: 0 for v in vertices}
-    adj = {v: set() for v in vertices}
-    for a, bb in edges:
-        adj[a].add(bb)
-        adj[bb].add(a)
-        degree[a] += 1
-        degree[bb] += 1
-    alive = set(vertices)
-    order = []
-    while alive:
-        leaf = min(v for v in alive if degree[v] <= 1)
-        order.append(leaf)
-        alive.discard(leaf)
-        for w in adj[leaf]:
-            if w in alive:
-                degree[w] -= 1
-                adj[w].discard(leaf)
-    return order
-
-
-def _spanning_tree(comp: GraphComponent) -> list[tuple[int, int]]:
-    """Breadth-first spanning tree from the lowest vertex, neighbours in
-    ascending order."""
-    adj: dict[int, list[int]] = {v: [] for v in comp.vertices}
-    for a, b in comp.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    root = comp.vertices[0]
-    seen = {root}
-    queue = [root]
-    tree = []
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.append((min(u, w), max(u, w)))
-                queue.append(w)
-    return tree
-
-
 def fooling_input(c: LayeredCircuit) -> Assignment:
     """A minterm of the majority on which the circuit outputs 0.
 
@@ -980,12 +934,23 @@ def fooling_input(c: LayeredCircuit) -> Assignment:
     standard majority of n-2 distinct variables, under a standard majority
     top gate.  Each bottom gate omits two variables; a gate fires on a
     weight-((n+1)/2) assignment exactly when at least one omitted variable
-    is 0.  In the multigraph of omitted pairs, components are taken in
-    increasing order of p(H) = edges - vertices (ties by size, then lowest
-    vertex), whole components first, the last one partially via
-    leaf-peeling of its (spanning) tree.  That colors l = (n-1)/2 vertices
-    0 while leaving at most l-1 edges with a 0 endpoint, so fewer than the
-    required l gates fire and the top gate stays 0.
+    is 0.  Coloring l = (n-1)/2 vertices of the multigraph of omitted pairs
+    0 while touching at most l-1 edges thus leaves fewer than the required
+    l gates firing, and the top gate stays 0.
+
+    Components are taken whole in increasing order of p = edges - vertices
+    (ties by size, then lowest vertex) while they fit; the next one, C,
+    gives the last ``need`` vertices of its breadth-first order.  Why the
+    bound holds:
+
+    * n vertices and n-2 edges give sum(p) = -2, and p >= -1, so at least
+      two components are trees and every prefix of two or more components
+      in this order has sum(p) <= -2;
+    * the smallest tree has at most l vertices, so it is always taken whole;
+    * the uncolored part of C is a BFS prefix, connected because each
+      vertex's parent comes before it, so it keeps >= |C| - need - 1 edges;
+    * so the zeros touch at most l + 1 + sum(p, whole components) + p(C)
+      <= l - 1 edges (l + sum(p, whole components) if none is split).
     """
     graph = omission_graph(c)
     n = c.n
@@ -998,17 +963,10 @@ def fooling_input(c: LayeredCircuit) -> Assignment:
             "component accounting failed: the smallest component should be "
             f"a tree of at most {l} vertices"
         )
-    colored: set[int] = set()
+    zeros: set[int] = set()
     for comp in comps:
-        need = l - len(colored)
+        need = l - len(zeros)
         if need == 0:
             break
-        if len(comp.vertices) <= need:
-            colored.update(comp.vertices)
-            continue
-        # a tree is its own breadth-first spanning tree
-        order = _peel_order(comp.vertices, _spanning_tree(comp))
-        colored.update(order[:need])
-        break
-    bits = tuple(0 if v in colored else 1 for v in range(1, n + 1))
-    return Assignment(bits)
+        zeros.update(comp.vertices[-need:])  # all of it, or its BFS tail
+    return Assignment(tuple(0 if v in zeros else 1 for v in range(1, n + 1)))

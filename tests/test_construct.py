@@ -1,5 +1,6 @@
 """Circuit builders: correlation, block, depth-3, and the fixed catalogue."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -383,6 +384,42 @@ def test_random_omission_pairs():
 def test_every_family_round_trips_through_the_text_format(build):
     c = build()
     assert parse_circuit(serialize_circuit(c)) == c
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_block_circuit(default_block_params(64)),
+         "945bc6672e46396cb0b02d0475d1564a36ec0f51f586cbd0a7c9d3b00430f355"),
+        (lambda: build_block_circuit(default_block_params(1000)),
+         "0d01b9f345edea1676ecc348a4243138b9faac751aa6fccb4dbc74bbb8a73e7f"),
+        (lambda: build_block_circuit(default_block_params(4096)),
+         "57850fa662d812df7f5b4c9b6bb199dc828f3cb287eb301efe0189df73225ada"),
+        (lambda: build_block_circuit(BlockParams(25, 5, 5)),
+         "ccfec526e44736f09c988849677fe4129dcb076784715121f087c5c672948348"),
+        (lambda: build_block_circuit(BlockParams(4096, 16, 4)),
+         "b195238ebcc79a6cece80a3a0ab6a92b158fc67ed2d14e064d488e070aefc063"),
+        (lambda: build_block_circuit(BlockParams(9, 3, 3)),
+         "738be4fd5457384f6a6949f31de0fc5e997881695f89a6b88d88d465136ce0ae"),
+        (lambda: build_depth3(Depth3Params(1)),
+         "dade044e7f8ed8f3a961342a83338384b7fc283948de274318545a2cf113fc1b"),
+        (lambda: build_depth3(Depth3Params(2)),
+         "6a04d5c7747aa15a52a2e30d5d34e3f1597d2fb889501c0d7f3cabd8778f6c0e"),
+        (lambda: build_depth3(Depth3Params(3)),
+         "6587704c0da83b8ac7286fb0c5b74645ef3ffffe05b07c654fae4eb42202bc19"),
+        (lambda: build_depth3(Depth3Params(4)),
+         "13f2d1bba0f329427c17e6cdd53542533687379d86cb8304b547dfcd3e512a76"),
+        (lambda: build_depth3(Depth3Params(5)),
+         "3b021ce8dc14280bb2a1de94586cbb841466f2c079476342650829efcf16ea52"),
+    ],
+    ids=["block_64", "block_1000", "block_4096", "block_25_5_5", "block_4096_16_4",
+         "block_9_3_3", "depth3_b1", "depth3_b2", "depth3_b3", "depth3_b4", "depth3_b5"],
+)
+def test_builder_text_bytes_are_pinned(build, digest):
+    """sha256 of the serialized block and depth-3 circuits: the gates, their
+    order and their thresholds stay fixed across rewrites of the builders."""
+    text = serialize_circuit(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def distinct_inputs(layer) -> int:

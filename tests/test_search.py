@@ -624,6 +624,15 @@ def test_omission_graph_shape():
     verts = sorted(v for comp in comps for v in comp.vertices)
     assert verts == list(range(1, 8))
     assert sum(g.p_values) == -2
+    assert [comp.vertices for comp in comps] == [(1, 2, 3), (4, 5, 6, 7)]
+
+    # vertices come in breadth-first order from the lowest vertex,
+    # neighbours ascending: 1, then its neighbours 3 and 5, then theirs
+    edges = [(1, 5), (1, 3), (2, 5), (3, 4), (6, 7)]
+    comps = omission_graph(omission_circuit(7, edges)).components
+    assert [comp.vertices for comp in comps] == [(1, 3, 5, 4, 2), (6, 7)]
+    assert [comp.edges for comp in comps] == [tuple(edges[:4]), ((6, 7),)]
+    assert [comp.p for comp in comps] == [-1, -1]
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -650,9 +659,52 @@ def test_fooling_input_properties(n):
         assert covered <= l - 1
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_fooling_input_on_every_omission_multiset(n):
+    """All multisets of n-2 omitted pairs: 220 circuits at n=5, 53,130 at n=7."""
+    l = (n - 1) // 2
+    pairs = list(combinations(range(1, n + 1), 2))
+    count = 0
+    for omitted in combinations_with_replacement(pairs, n - 2):
+        c = omission_circuit(n, list(omitted))
+        a = fooling_input(c)
+        assert a.weight == l + 1
+        assert majority_value(a) == 1
+        assert eval_circuit(c, a) == 0
+        zeros = {i + 1 for i, b in enumerate(a.bits) if b == 0}
+        assert sum(1 for e in omitted if zeros & set(e)) <= l - 1
+        count += 1
+    assert count == math.comb(len(pairs) + n - 3, n - 2)
+
+
+@pytest.mark.parametrize(
+    "omitted, bits",
+    [
+        # trees {6} and {7} are taken whole, then the tree {4, 5} gives the
+        # tail of its BFS order, 5 (peeling its lowest leaf would give 4)
+        ([(1, 2), (1, 2), (1, 2), (1, 3), (4, 5)], "1111000"),
+        # the split component {1, ..., 5} is not a tree
+        ([(1, 2), (1, 2), (1, 3), (1, 4), (1, 5)], "1111000"),
+        # the smallest tree {3} alone is the whole coloring
+        ([(1, 2)], "110"),
+    ],
+)
+def test_fooling_input_examples(omitted, bits):
+    c = omission_circuit(len(omitted) + 2, omitted)
+    a = fooling_input(c)
+    assert "".join(map(str, a.bits)) == bits
+    assert majority_value(a) == 1
+    assert eval_circuit(c, a) == 0
+
+
 def test_fooling_preconditions_rejected():
     with pytest.raises(ValueError, match="odd"):
         fooling_input(omission_circuit(6, [(1, 2), (3, 4), (5, 6), (1, 3)]))
+    one = LayeredCircuit(
+        n=1, k=1, layers=((majority_gate([0]),), (majority_gate([0]),)), top=0
+    )
+    with pytest.raises(ValueError, match="odd n >= 3, got n=1"):
+        fooling_input(one)
     with pytest.raises(ValueError, match="expected 3 bottom gates"):
         fooling_input(omission_circuit(5, [(1, 2), (3, 4)]))
 
