@@ -180,10 +180,8 @@ def pmf_scaling_probe(
     """max_l pmf at m = 4*kk, t_draws = c*m, normalized by sqrt(kk).
 
     The pmf is unimodal with mode floor((t+1)(kk+1)/(m+2)), so probing the
-    mode and its neighbours finds the maximum; for kk <= 64 the whole
-    support is scanned instead, which doubles as a cross-check of the mode
-    formula.  The normalized values are expected to sit in a constant
-    window as kk grows.
+    mode and its neighbours finds the maximum.  The normalized values are
+    expected to sit in a constant window as kk grows.
     """
     if not k_grid:
         raise ValueError("k_grid must not be empty")
@@ -200,13 +198,9 @@ def pmf_scaling_probe(
             raise ValueError(f"t_draws = c*m must be an integer, got {c}*{m}")
         t = int(t)
         p = HypergeomParams(m, kk, t)
-        if kk <= 64:
-            candidates: Iterable[int] = range(kk + 1)
-        else:
-            mode = ((t + 1) * (kk + 1)) // (m + 2)
-            candidates = range(max(0, mode - 1), min(kk, mode + 1) + 1)
+        mode = ((t + 1) * (kk + 1)) // (m + 2)
         best_l, best = 0, Fraction(0)
-        for l in candidates:
+        for l in range(max(0, mode - 1), min(kk, mode + 1) + 1):
             v = hypergeom_pmf(p, l)
             if v > best:
                 best_l, best = l, v

@@ -162,7 +162,6 @@ def _space_spec(args) -> search.SearchSpaceSpec:
         k=args.k,
         multiplicity_max=args.multiplicity,
         standard_thresholds=args.thresholds == "standard",
-        symmetry_breaking=not args.no_symmetry,
     )
 
 
@@ -189,17 +188,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_decode(args) -> int:
     spec = _space_spec(args)
-    text = Path(args.model).read_text()
-    status, lits = search.parse_model_text(text)
-    if status == "unsat":
+    model = search.parse_model_text(Path(args.model).read_text())
+    if model is None:
         print("model file holds an unsatisfiable verdict", file=sys.stderr)
         return EXIT_UNSAT
-    if status != "sat":
-        print("model file holds no recognizable model", file=sys.stderr)
-        return EXIT_USAGE
     instance = search.encode(spec, clause_cap=args.clause_cap)
-    found = search.decode(instance, lits)
-    return _write_circuit(found, args)
+    return _write_circuit(search.decode(instance, model), args)
 
 
 def _cmd_fool(args) -> int:
@@ -391,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--multiplicity", type=int, default=2)
         sp.add_argument("--thresholds", choices=("standard", "full"), default="standard")
-        sp.add_argument("--no-symmetry", action="store_true")
         sp.add_argument("--out", help="circuit file for the result (default: stdout)")
     s.add_argument("--engine", choices=("cnf", "exhaustive"), default="cnf")
     s.add_argument("--solver", help="solver executable (default: MAJCIRC_SAT_SOLVER, PATH, "

@@ -124,8 +124,9 @@ def _literal_slots(lits: np.ndarray, out: np.ndarray) -> None:
     out[..., 1] = (inner >> 32) | low_text.take(mag - 10**4 * mid + 10**4 * (mid > 0))
 
 
-# solver executables probed on PATH, in order, when none is configured
-SOLVER_CANDIDATES = ("varisat", "kissat", "cadical", "cryptominisat5", "glucose", "minisat")
+# solver executables probed on PATH, in order, when none is configured;
+# each prints its model on stdout, which MiniSat 2.2 does not
+SOLVER_CANDIDATES = ("varisat", "kissat", "cadical", "cryptominisat5", "glucose")
 SOLVER_ENV = "MAJCIRC_SAT_SOLVER"
 # the pure-Python CDCL solver shipped with the package, run under this
 # interpreter when no other solver is found
@@ -162,16 +163,18 @@ class SearchSpaceSpec:
     standard_thresholds pins every bottom threshold to ceil(k/2), the
     least integer at least k/2 (standard_theta); switching it off adds the
     threshold itself (1..k per gate) to the search.  multiplicity_max=1
-    forbids repeated variables.  symmetry_breaking orders the gate rows.
-    Every candidate is monotone, so the search constrains only the two
-    critical weight layers, and decode re-verifies on all 2^n inputs.
+    forbids repeated variables.  Both engines keep only gate rows in
+    lexicographic order, which loses no verdict: the top gate reads each
+    bottom gate once, unweighted, so sorting the gates of any circuit
+    (full-threshold ones too) keeps its function.  Every candidate is
+    monotone, so the search constrains only the two critical weight
+    layers, and decode re-verifies on all 2^n inputs.
     """
 
     n: int
     k: int
     multiplicity_max: int = 2
     standard_thresholds: bool = True
-    symmetry_breaking: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -183,11 +186,7 @@ class SearchSpaceSpec:
 
     @property
     def theta(self) -> int:
-        """Bottom-gate threshold in standard mode."""
-        return standard_theta(self.k)
-
-    @property
-    def theta_top(self) -> int:
+        """Top-gate threshold, and every bottom gate's in standard mode."""
         return standard_theta(self.k)
 
 
@@ -319,7 +318,7 @@ class CnfInstance:
     replicated with numpy over the layer's inputs; write_dimacs writes
     the same bytes as emitting every clause on its own.  sections counts
     the clauses of each part of the encoding, in file order: ladders,
-    exactly_k, per_assignment and symmetry.
+    exactly_k, per_assignment and symmetry (the rows' lexicographic order).
     """
 
     spec: SearchSpaceSpec
@@ -395,10 +394,8 @@ def estimate_clauses(spec: SearchSpaceSpec) -> int:
         r = w * mult
         qmax = spec.theta if spec.standard_thresholds else min(k, r)
         per_gate = _counter_cost(r, qmax) + (2 if spec.standard_thresholds else 2 * k)
-        est += count * (k * per_gate + _counter_cost(k, spec.theta_top) + 1)
-    if spec.symmetry_breaking and k >= 2:
-        est += (k - 1) * 3 * length
-    return est
+        est += count * (k * per_gate + _counter_cost(k, spec.theta) + 1)
+    return est + (k - 1) * 3 * length  # symmetry
 
 
 def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfInstance:
@@ -498,11 +495,11 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
                         blk.add(o, -tq, *above, -cells[q - 1])
                     else:
                         blk.add(-o, -tq)
-        top = _counter_cells(blk, outs, spec.theta_top)
+        top = _counter_cells(blk, outs, theta)
         if value:
-            blk.add(top[spec.theta_top - 1])
+            blk.add(top[theta - 1])
         else:
-            blk.add(-top[spec.theta_top - 1])
+            blk.add(-top[theta - 1])
         nvars = blk.num_vars - base - k * w * mult
         slots = sel_ids[:, ones, :].transpose(1, 0, 2, 3).reshape(len(ones), -1)
         per_assignment.append(_replicate(blk.take(), base, slots, nvars))
@@ -510,26 +507,17 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
 
     # rows in lexicographically non-decreasing order over the flattened
     # selector vectors; sound because the top gate is symmetric in the rows
-    if spec.symmetry_breaking and k >= 2:
-        for g in range(k - 1):
-            a, c = gate_lits(g), gate_lits(g + 1)
-            prefix_eq = None
-            for p in range(len(a)):
-                ap, cp = a[p], c[p]
-                if prefix_eq is None:
-                    b.add(-ap, cp)
-                else:
-                    b.add(-prefix_eq, -ap, cp)
-                if p == len(a) - 1:
-                    break
-                e = b.new_var()
-                if prefix_eq is None:
-                    b.add(-ap, -cp, e)
-                    b.add(ap, cp, e)
-                else:
-                    b.add(-prefix_eq, -ap, -cp, e)
-                    b.add(-prefix_eq, ap, cp, e)
-                prefix_eq = e
+    for g in range(k - 1):
+        a, c = gate_lits(g), gate_lits(g + 1)
+        guard: list[int] = []  # [-e], e: the rows agree before position p
+        for p, (ap, cp) in enumerate(zip(a, c)):
+            b.add(*guard, -ap, cp)
+            if p == len(a) - 1:
+                break
+            e = b.new_var()
+            b.add(*guard, -ap, -cp, e)
+            b.add(*guard, ap, cp, e)
+            guard = [-e]
 
     symmetry = b.take()
 
@@ -553,15 +541,18 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
 # -- models and decoding ----------------------------------------------------
 
 
-def parse_model_text(text: str) -> tuple[str, list[int] | None]:
-    """Extract a verdict and model literals from solver output.
+def parse_model_text(text: str, exit_code: int | None = None) -> tuple[int, ...] | None:
+    """The model in a solver's output, or None when its verdict is
+    unsatisfiable.
 
     Understands `s SATISFIABLE` / `s UNSATISFIABLE` verdict lines, `v `
     model lines, bare SAT/UNSAT markers, and raw whitespace-separated
-    literal lines terminated by 0.  Returns (status, literals) with status
-    one of sat, unsat, unknown.
+    literal lines terminated by 0 (MiniSat's result-file format).  The
+    last verdict counts; literals without one count as SAT.  With neither,
+    exit_code 20 (the SAT-competition code for UNSAT) means unsatisfiable.
+    No verdict otherwise, or SAT without literals, raises SolverError.
     """
-    status = "unknown"
+    sat: bool | None = None
     lits: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -571,15 +562,15 @@ def parse_model_text(text: str) -> tuple[str, list[int] | None]:
         if upper.startswith("S "):
             verdict = upper[2:].strip()
             if "UNSAT" in verdict:
-                status = "unsat"
+                sat = False
             elif "SAT" in verdict:
-                status = "sat"
+                sat = True
             continue
         if upper in ("SAT", "SATISFIABLE"):
-            status = "sat"
+            sat = True
             continue
         if upper in ("UNSAT", "UNSATISFIABLE"):
-            status = "unsat"
+            sat = False
             continue
         if line.startswith(("v", "V")):
             line = line[1:]
@@ -588,17 +579,15 @@ def parse_model_text(text: str) -> tuple[str, list[int] | None]:
         except ValueError:
             continue
         lits.extend(v for v in values if v != 0)
-    if status == "unknown" and lits:
-        status = "sat"
-    if status != "sat":
-        return status, None
-    return status, lits
-
-
-@dataclass(frozen=True)
-class SolverResult:
-    status: str
-    model: tuple[int, ...] | None
+    if sat is None:
+        if not lits and exit_code != 20:
+            raise SolverError("no verdict")
+        sat = bool(lits)
+    if not sat:
+        return None
+    if not lits:
+        raise SolverError("SAT without a model")
+    return tuple(lits)
 
 
 def find_solver() -> str:
@@ -619,32 +608,25 @@ def find_solver() -> str:
     return BUILTIN_SOLVER
 
 
-def run_solver(dimacs_path: str | Path, solver: str | None = None) -> SolverResult:
-    """Run a DIMACS solver on a file and parse its verdict.
+def run_solver(dimacs_path: str | Path, solver: str | None = None) -> tuple[int, ...] | None:
+    """Run a DIMACS solver on a file and return what parse_model_text reads
+    from its stdout and exit code: the model, or None when unsatisfiable.
 
     solver defaults to find_solver(); BUILTIN_SOLVER runs under the current
-    interpreter, anything else as an executable.  A verdict in the output
-    (an `s` line or a bare marker, see parse_model_text) is trusted first;
-    exit code 20 counts as unsatisfiable only when the output claims no
-    SAT.  SAT without model literals, or no verdict at all, raises
-    SolverError.
+    interpreter, anything else as an executable.  The SolverError for no
+    verdict, or SAT without a model, names the command, its exit code and
+    the start of its output.
     """
     cmd = solver or find_solver()
     argv = [sys.executable, cmd] if cmd == BUILTIN_SOLVER else [cmd]
     proc = subprocess.run(argv + [str(dimacs_path)], capture_output=True, text=True)
-    status, lits = parse_model_text(proc.stdout)
-    if proc.returncode == 20 and status != "sat":
-        return SolverResult("unsat", None)
-    if status == "sat":
-        if not lits:
-            raise SolverError(f"{cmd} reported SAT without a model")
-        return SolverResult("sat", tuple(lits))
-    if status == "unsat":
-        return SolverResult("unsat", None)
-    raise SolverError(
-        f"{cmd} gave no verdict (exit {proc.returncode}); output began: "
-        + (proc.stdout or proc.stderr)[:200]
-    )
+    try:
+        return parse_model_text(proc.stdout, proc.returncode)
+    except SolverError as e:
+        raise SolverError(
+            f"{cmd}: {e} (exit {proc.returncode}); output began: "
+            + (proc.stdout or proc.stderr)[:200]
+        ) from None
 
 
 def decode(instance: CnfInstance, model: Iterable[int]) -> LayeredCircuit:
@@ -725,9 +707,10 @@ def solve_spec(
     otherwise they live in a temporary directory.
     """
     instance = encode(spec, clause_cap=clause_cap)
+    if keep_files is not None:
+        return solve_instance(instance, instance.write_files(keep_files), solver)
     with tempfile.TemporaryDirectory(prefix="majcirc-") as tmp:
-        cnf = instance.write_files(tmp if keep_files is None else keep_files)
-        return solve_instance(instance, cnf, solver)
+        return solve_instance(instance, instance.write_files(tmp), solver)
 
 
 def solve_instance(
@@ -735,10 +718,8 @@ def solve_instance(
 ) -> LayeredCircuit | None:
     """Solve the instance's DIMACS file and decode the model.  None when
     unsatisfiable."""
-    result = run_solver(dimacs_path, solver)
-    if result.status == "unsat":
-        return None
-    return decode(instance, result.model)
+    model = run_solver(dimacs_path, solver)
+    return None if model is None else decode(instance, model)
 
 
 # -- exhaustive engine ------------------------------------------------------
@@ -807,7 +788,7 @@ def exhaustive_search(
     fires_min, fires_max = (
         (vecs[:, ones].sum(axis=2).T >= thetas).astype(np.int32) for ones, _ in _critical_layers(n)
     )
-    theta_top = spec.theta_top
+    theta = spec.theta
     chosen: list[int] = []
 
     def recurse(start: int, depth: int, mins: np.ndarray, maxs: np.ndarray):
@@ -821,8 +802,8 @@ def exhaustive_search(
             circuit = LayeredCircuit(n=n, k=k, layers=(gates, (majority_gate(range(k)),)), top=0)
             return circuit if verify_all(circuit).errors == 0 else None
         # a child leaves k - depth - 1 gates that could still fire
-        reach = (mins[:, None] + fires_min[:, start:] + (k - depth - 1) >= theta_top).all(axis=0)
-        clear = (maxs[:, None] + fires_max[:, start:] < theta_top).all(axis=0)
+        reach = (mins[:, None] + fires_min[:, start:] + (k - depth - 1) >= theta).all(axis=0)
+        clear = (maxs[:, None] + fires_max[:, start:] < theta).all(axis=0)
         for c in (np.flatnonzero(reach & clear) + start).tolist():
             chosen.append(c)
             found = recurse(c, depth + 1, mins + fires_min[:, c], maxs + fires_max[:, c])

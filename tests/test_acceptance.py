@@ -225,9 +225,9 @@ def test_criterion_10_sat_pipeline(capfd, tmp_path):
     instance = encode(spec)
     cnf = tmp_path / "maj-n7-k5.cnf"
     instance.write_dimacs(cnf)
-    result = run_solver(cnf, solver)
-    assert result.status == "sat"
-    c = decode(instance, result.model)
+    model = run_solver(cnf, solver)
+    assert model is not None
+    c = decode(instance, model)
     assert verify_all(c).errors == 0
 
     # the two engines agree on feasibility over every small space

@@ -212,6 +212,17 @@ def test_pmf_scaling_probe_large_kk_uses_the_mode_shortcut():
     assert row.pmf_max == max(hypergeom_pmf(p, l) for l in range(129))
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], ids=str)
+def test_pmf_scaling_probe_window_matches_a_full_scan(c):
+    """The mode-1..mode+1 window picks the same l as scanning the whole
+    support, the first maximum in increasing l."""
+    grid = [kk for kk in range(1, 65) if (c * 4 * kk).denominator == 1]
+    for row in pmf_scaling_probe(grid, c):
+        p = HypergeomParams(m=4 * row.kk, kk=row.kk, t_draws=int(c * 4 * row.kk))
+        pmf = [hypergeom_pmf(p, l) for l in range(row.kk + 1)]
+        assert (row.mode, row.pmf_max) == (pmf.index(max(pmf)), max(pmf)), row.kk
+
+
 def test_pmf_scaling_probe_validation():
     with pytest.raises(ValueError):
         pmf_scaling_probe([])

@@ -256,6 +256,19 @@ def test_search_flags_drop_settings_that_cannot_change_a_verdict(command, capsys
     usage = capsys.readouterr().out
     assert "--multiplicity" in usage
     assert "--constraints" not in usage and "--distinct" not in usage
+    assert "--no-symmetry" not in usage
+
+
+@pytest.mark.parametrize("command", ["search", "decode"])
+def test_no_symmetry_is_a_usage_error(command, tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("s UNSATISFIABLE\n")
+    extra = ["--model", str(model)]
+    if command == "search":
+        extra = ["--no-solve", "--out-dir", str(tmp_path)]
+    assert main([command, "--n", "3", "--k", "3", "--no-symmetry", *extra]) == 2
+    assert "--no-symmetry" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.cnf"))
 
 
 def test_search_exhaustive_found(capsys):
@@ -348,6 +361,42 @@ def test_decode_junk_model_file(tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("c nothing here\n")
     assert main(["decode", "--n", "3", "--k", "3", "--model", str(model)]) == 2
+
+
+# solver stdout, solver exit code, what run_solver returns or the
+# SolverError it raises, and the exit of decode on the same text (a model
+# file does not hold the exit code)
+VERDICTS = [
+    ("s UNSATISFIABLE\n", 20, None, 3),
+    ("s SATISFIABLE\n", 10, "SAT without a model", 2),
+    ("junk\n", 0, "no verdict", 2),
+    ("", 20, None, 2),
+]
+
+
+@pytest.mark.parametrize("text, code, verdict, decode_exit", VERDICTS)
+def test_run_solver_and_decode_read_verdicts_alike(
+    text, code, verdict, decode_exit, tmp_path, capsys
+):
+    output = tmp_path / "output.txt"
+    output.write_text(text)
+    solver = tmp_path / "fake-solver"
+    solver.write_text(f"#!/bin/sh\ncat '{output}'\nexit {code}\n")
+    solver.chmod(0o755)
+    cnf = tmp_path / "t.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    if verdict is None:
+        assert search.run_solver(cnf, str(solver)) is None
+    else:
+        with pytest.raises(search.SolverError, match=verdict) as err:
+            search.run_solver(cnf, str(solver))
+        assert str(solver) in str(err.value) and f"(exit {code})" in str(err.value)
+        assert str(err.value).endswith("output began: " + text)
+    rc = main(["decode", "--n", "3", "--k", "3", "--model", str(output)])
+    assert rc == decode_exit
+    err_text = capsys.readouterr().err
+    if verdict is not None:
+        assert verdict in err_text
 
 
 # -- fool --------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from unittest import mock
@@ -38,7 +38,6 @@ from majcirc.search import (
     ModelError,
     SearchSpaceSpec,
     SolverError,
-    SolverResult,
     SpaceTooLarge,
     _candidate_rows,
     _critical_layers,
@@ -90,7 +89,11 @@ def test_spec_validation():
 def test_spec_thresholds():
     spec = SearchSpaceSpec(n=7, k=5)
     assert spec.theta == standard_theta(5) == 3
-    assert spec.theta_top == 3
+
+
+def test_spec_has_only_settings_that_can_change_a_verdict():
+    names = [f.name for f in fields(SearchSpaceSpec)]
+    assert names == ["n", "k", "multiplicity_max", "standard_thresholds"]
 
 
 def test_estimate_space_counts_row_multisets():
@@ -140,7 +143,7 @@ def test_estimate_clauses_is_an_upper_bound():
         SearchSpaceSpec(n=5, k=3),
         SearchSpaceSpec(n=4, k=2, multiplicity_max=1),
         SearchSpaceSpec(n=3, k=3, standard_thresholds=False),
-        SearchSpaceSpec(n=3, k=3, symmetry_breaking=False),
+        SearchSpaceSpec(n=5, k=5, multiplicity_max=1, standard_thresholds=False),
     ]:
         instance = encode(spec)
         assert len(instance.clauses) <= estimate_clauses(spec)
@@ -264,8 +267,7 @@ DIMACS_GOLDEN = [
     (dict(n=4, k=2, multiplicity_max=1), "a1ae6c5fff5bf2b9e4871169435e8abcac0855578cdbd8380b3bba9367cced07", 101, 248),
     (dict(n=3, k=3, standard_thresholds=False), "d3c793b6b2c9d0cddd3bbc5738e894b5b29d7fbb7fad0b7b9adebd64bbf60106", 247, 770),
     (dict(n=5, k=5, multiplicity_max=1), "798cdffdfdbacd414147e97e021bd3c4e44febff9323b13993eefe9e5ab6f1cb", 756, 2177),
-    (dict(n=3, k=3, symmetry_breaking=False), "0431bfaddde031144ecff997599ae9f9c17918fbe5e358d03673b295b4c47b2c", 210, 603),
-    (dict(n=5, k=5, multiplicity_max=1, standard_thresholds=False, symmetry_breaking=False), "4efe7879716c333776a5ab6802592b7820a3be1c889e1943b93a5c92750321c3", 915, 3150),
+    (dict(n=5, k=5, multiplicity_max=1, standard_thresholds=False), "06e6cdf2fd485362240a3f88264d722e9cb57783f94f65a5537922891c0dda73", 931, 3202),
     # weight*multiplicity < theta on every constraint, and k > n*multiplicity
     (dict(n=3, k=5, multiplicity_max=1), "181478e79aac4679092f8f300b7f02a126ffc9eaa65bf1d066d95d6ef61d19bb", 160, 404),
     (dict(n=1, k=1), "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c", 11, 25),
@@ -317,7 +319,7 @@ def block_clauses(spec: SearchSpaceSpec, w: int) -> int:
     else:
         cells = min(k, r)
         per_gate = counter_clauses(r, cells) + 2 * cells + (k - cells)
-    return k * per_gate + counter_clauses(k, spec.theta_top) + 1
+    return k * per_gate + counter_clauses(k, spec.theta) + 1
 
 
 @pytest.mark.parametrize("kw", [kw for kw, *_ in DIMACS_GOLDEN], ids=GOLDEN_IDS)
@@ -331,7 +333,7 @@ def test_sections_count_each_part(kw):
         "ladders": k * n * (mult - 1) + (0 if spec.standard_thresholds else k * k),
         "exactly_k": k * (counter_clauses(length, k + 1) + (1 if k == length else 2)),
         "per_assignment": sum(math.comb(n, w) * block_clauses(spec, w) for w in layers),
-        "symmetry": (k - 1) * (3 * length - 2) if spec.symmetry_breaking else 0,
+        "symmetry": (k - 1) * (3 * length - 2),
     }
     assert sum(instance.sections.values()) == len(instance.clauses)
 
@@ -417,28 +419,51 @@ def test_write_dimacs_matches_the_reference_writer(matrix, batch):
 
 
 def test_parse_model_text_verdict_lines():
-    assert parse_model_text("s SATISFIABLE\nv 1 -2 3 0\n") == ("sat", [1, -2, 3])
-    assert parse_model_text("s UNSATISFIABLE\n") == ("unsat", None)
-    assert parse_model_text("c comment\ns SATISFIABLE\nv 1 0\nv -2 0\n") == (
-        "sat",
-        [1, -2],
-    )
+    assert parse_model_text("s SATISFIABLE\nv 1 -2 3 0\n") == (1, -2, 3)
+    assert parse_model_text("s UNSATISFIABLE\n") is None
+    assert parse_model_text("c comment\ns SATISFIABLE\nv 1 0\nv -2 0\n") == (1, -2)
+    # an explicit UNSAT outweighs stray literals
+    assert parse_model_text("s UNSATISFIABLE\nv 1 0\n") is None
 
 
 def test_parse_model_text_bare_markers():
-    assert parse_model_text("SAT\n1 -2 3 0\n") == ("sat", [1, -2, 3])
-    assert parse_model_text("UNSAT\n") == ("unsat", None)
-    assert parse_model_text("1 -2 0\n") == ("sat", [1, -2])
+    assert parse_model_text("SAT\n1 -2 3 0\n") == (1, -2, 3)
+    assert parse_model_text("UNSAT\n") is None
+    assert parse_model_text("1 -2 0\n") == (1, -2)
 
 
 def test_parse_model_text_unknown():
-    assert parse_model_text("") == ("unknown", None)
-    assert parse_model_text("c nothing to see\n") == ("unknown", None)
+    for text in ("", "c nothing to see\n", "junk\n"):
+        with pytest.raises(SolverError, match="no verdict"):
+            parse_model_text(text)
+        with pytest.raises(SolverError, match="no verdict"):
+            parse_model_text(text, exit_code=10)
+        assert parse_model_text(text, exit_code=20) is None
+    for text in ("s SATISFIABLE\n", "SAT\n", "s SATISFIABLE\nv 0\n"):
+        for code in (None, 10, 20):
+            with pytest.raises(SolverError, match="SAT without a model"):
+                parse_model_text(text, exit_code=code)
+
+
+def test_parse_model_text_exit_code_20_yields_to_a_sat_claim():
+    assert parse_model_text("s SATISFIABLE\nv 1 -2 0\n", exit_code=20) == (1, -2)
+    assert parse_model_text("1 -2 0\n", exit_code=20) == (1, -2)
+    assert parse_model_text("s UNSATISFIABLE\n", exit_code=10) is None
 
 
 def test_find_solver_env_override(monkeypatch):
     monkeypatch.setenv("MAJCIRC_SAT_SOLVER", "/opt/somewhere/mysolver")
     assert find_solver() == "/opt/somewhere/mysolver"
+
+
+def test_find_solver_skips_minisat(monkeypatch):
+    """MiniSat prints no model on stdout, so a satisfiable run through it
+    would end in SolverError; the built-in solver is picked instead."""
+    monkeypatch.delenv("MAJCIRC_SAT_SOLVER", raising=False)
+    monkeypatch.setattr(
+        "majcirc.search.shutil.which", lambda name: "/usr/bin/minisat" if name == "minisat" else None
+    )
+    assert find_solver() == BUILTIN_SOLVER
 
 
 def test_run_solver_without_any_solver(monkeypatch, tmp_path):
@@ -451,14 +476,14 @@ def test_run_solver_without_any_solver(monkeypatch, tmp_path):
     clauses = [[1, 2], [-1, 3], [-2, -3], [-3, 4]]
     sat_cnf = tmp_path / "sat.cnf"
     sat_cnf.write_text("p cnf 5 4\n" + "".join(f"{a} {b} 0\n" for a, b in clauses))
-    result = run_solver(sat_cnf)
-    assert result.status == "sat"
-    assert sorted(abs(lit) for lit in result.model) == [1, 2, 3, 4, 5]
-    assert all(any(lit in result.model for lit in cl) for cl in clauses)
+    model = run_solver(sat_cnf)
+    assert isinstance(model, tuple)
+    assert sorted(abs(lit) for lit in model) == [1, 2, 3, 4, 5]
+    assert all(any(lit in model for lit in cl) for cl in clauses)
 
     unsat_cnf = tmp_path / "unsat.cnf"
     unsat_cnf.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
-    assert run_solver(unsat_cnf) == SolverResult("unsat", None)
+    assert run_solver(unsat_cnf) is None
 
     with pytest.raises(SolverError, match="no verdict"):
         run_solver(tmp_path / "absent.cnf")
@@ -598,9 +623,9 @@ def test_published_rows_live_in_the_default_space(tag, tmp_path: Path):
     )
     cnf = tmp_path / "pinned.cnf"
     instance.write_dimacs(cnf)
-    result = run_solver(cnf)
-    assert result.status == "sat"
-    c = decode(instance, result.model)
+    model = run_solver(cnf)
+    assert model is not None
+    c = decode(instance, model)
     assert row_multiset(c) == row_multiset(published_circuit(tag))
 
 
