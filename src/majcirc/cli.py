@@ -293,10 +293,6 @@ def _cmd_analyze_influence(args) -> int:
 
 def _cmd_analyze_walk(args) -> int:
     c = _load_circuit(args.circuit)
-    bits = tuple(int(ch) for ch in args.start)
-    if any(b not in (0, 1) for b in bits):
-        print(f"bad start assignment {args.start!r}", file=sys.stderr)
-        return EXIT_USAGE
     wcfg = analyze.WalkConfig(
         s=args.s,
         d=args.d,
@@ -305,7 +301,7 @@ def _cmd_analyze_walk(args) -> int:
         seed=args.seed,
         gate_choice=args.gate_choice,
     )
-    trace = analyze.walk(c, Assignment(bits), wcfg)
+    trace = analyze.walk(c, Assignment(args.start), wcfg)
     print("step,gate,ones_available,flipped,diffs_after")
     for idx, step in enumerate(trace.steps, start=1):
         diffs = ";".join(f"{g}:{d}" for g, d in step.diffs_after)

@@ -155,6 +155,7 @@ class Solver:
         return None
 
     def _bump(self, v: int) -> None:
+        """Raise v's activity; v is assigned, and _cancel_until re-heaps it."""
         act = self.activity
         act[v] += self.var_inc
         if act[v] > RESCALE:
@@ -162,8 +163,6 @@ class Solver:
                 act[u] /= RESCALE
             self.var_inc /= RESCALE
             self._rebuild_heap()
-        elif self.val[2 * v] == 0:
-            heappush(self.heap, (-act[v], v))
 
     def _rebuild_heap(self) -> None:
         val, act = self.val, self.activity

@@ -39,7 +39,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -726,12 +726,15 @@ def solve_instance(
 
 
 def _candidate_rows(spec: SearchSpaceSpec) -> list[tuple[int, ...]]:
-    """All multiplicity vectors of total weight k, in lexicographic order."""
-    return [
-        vec
-        for vec in product(range(spec.multiplicity_max + 1), repeat=spec.n)
-        if sum(vec) == spec.k
-    ]
+    """All multiplicity vectors of total weight k, in lexicographic order,
+    built one coordinate at a time: each prefix takes, in ascending order,
+    every value that leaves a weight the coordinates after it can make."""
+    m = spec.multiplicity_max
+    rows = [((), spec.k)]  # (prefix, weight still to place)
+    for left in range(spec.n - 1, -1, -1):
+        rows = [((*row, v), rest - v) for row, rest in rows
+                for v in range(max(0, rest - m * left), min(m, rest) + 1)]
+    return [row for row, _ in rows]
 
 
 def estimate_space(spec: SearchSpaceSpec) -> int:

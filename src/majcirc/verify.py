@@ -41,17 +41,17 @@ not compress (published, correlation) keep the bit sampler: each bit
 column is drawn with numpy's exact bounded integers, one column at a
 time, in about 1 byte per bit of the chunk.
 
-Every exhaustive job (verify_all, exact verify_minmax, truth_table) is a
-rank range that the worker decodes itself: a range of the 2^n input values,
-or a range of colex ranks of one weight layer, unranked in vectorized numpy.
-No job holds more than its own chunk, so memory is O(chunk) whatever the
-cap.  Reports are counts by weight, so they do not depend on the order of
-enumeration either.
-
-All bulk evaluation goes through one chunked vectorized engine.  Chunks own
-their randomness (one derived stream per chunk index), and results are
-merged in chunk order, so every report is byte-identical no matter how many
-worker processes produced it.
+Every check runs through one function, _check, and one chunk worker, _work.
+The entry points only cut their rows into jobs (source, w, index, lo, hi)
+of at most DEFAULT_CHUNK rows, a fixed size.  _check compiles the circuit
+once, runs the jobs inline or in a process pool and merges their counts
+in job order; _work makes a chunk's rows as its source says (a rank range
+of an exhaustive sweep, draws from the weight-w layer, or uniform bits),
+then evaluates and tallies them.  An exhaustive job decodes its own rank
+range, so memory is O(chunk) whatever the cap.  Each sampled chunk owns
+its random stream, derived from the seed and its index, so a report
+depends only on the circuit, the sample count and the seed, never on how
+many worker processes produced it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -347,7 +346,7 @@ def _chunks(total: int, chunk: int) -> list[tuple[int, int, int]]:
     return [(index, lo, min(lo + chunk, total)) for index, lo in enumerate(range(0, total, chunk))]
 
 
-def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+def truth_table(c: LayeredCircuit) -> np.ndarray:
     """Full 2^n truth table, index i holding the output where x1 is the most
     significant bit of i.  Only for n small enough to enumerate."""
     if c.n > EXHAUSTIVE_CAP:
@@ -356,7 +355,8 @@ def truth_table(c: LayeredCircuit, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
             "use verify_minmax or estimate_agreement"
         )
     plan = compile_circuit(c)
-    return np.concatenate([eval_bulk(plan, _rows(c.n, None, lo, hi)) for _, lo, hi in _chunks(2**c.n, chunk)])
+    chunks = _chunks(2**c.n, DEFAULT_CHUNK)
+    return np.concatenate([eval_bulk(plan, _rows(c.n, None, lo, hi)) for _, lo, hi in chunks])
 
 
 @dataclass(frozen=True)
@@ -403,12 +403,6 @@ class VerificationReport:
             obj["ci_halfwidth"] = self.ci_halfwidth
         return json.dumps(obj, separators=(", ", ": "))
 
-    def to_csv(self) -> str:
-        lines = ["weight,checked,errors"]
-        for w in sorted(self.checked_by_weight):
-            lines.append(f"{w},{self.checked_by_weight[w]},{self.errors_by_weight.get(w, 0)}")
-        return "\n".join(lines) + "\n"
-
 
 def _tally(rows: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked and wrong counts by weight; rows are bits or class counts,
@@ -421,21 +415,10 @@ def _tally(rows: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return checked, errors
 
 
-def _merge_counts(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[dict[int, int], dict[int, int], int, int]:
-    checked = np.zeros(n + 1, dtype=np.int64)
-    errors = np.zeros(n + 1, dtype=np.int64)
-    for c, e in parts:
-        checked += c
-        errors += e
-    cd = {int(w): int(checked[w]) for w in range(n + 1) if checked[w]}
-    ed = {int(w): int(errors[w]) for w in range(n + 1) if errors[w]}
-    return cd, ed, int(checked.sum()), int(errors.sum())
-
-
-# Worker processes receive the compiled plan once at pool start-up and read it
-# from this module-level slot; job tuples then stay tiny.  Results come back
-# through pool.map, which preserves job order, so the merged report cannot
-# depend on scheduling.
+# Worker processes receive the compiled plan and the seed once at pool
+# start-up and read them from this module-level slot; job tuples then stay
+# tiny.  Results come back through pool.map, which preserves job order, so
+# the merged report cannot depend on scheduling.
 _WORK_CTX: dict = {}
 
 
@@ -444,51 +427,65 @@ def _pool_init(ctx: dict) -> None:
     _WORK_CTX.update(ctx)
 
 
-def _run_chunks(fn: Callable, jobs: list, workers: int, ctx: dict) -> list:
-    """Apply the top-level worker fn to each job, in job order.
+def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Checked and wrong counts by weight of the hi - lo rows of one chunk:
+    "rows" unranks rows lo..hi-1 of the 2^n inputs (w None) or of the
+    weight-w layer, "layer" draws from the weight-w layer (class counts
+    when the classes compress, else bits), "uniform" draws uniform bits."""
+    source, w, index, lo, hi = job
+    plan, seed = _WORK_CTX["plan"], _WORK_CTX["seed"]
+    first = plan.layers[0]
+    if source == "rows":
+        rows = _rows(plan.n, w, lo, hi)
+    elif source == "uniform":
+        rng = philox(seed, "agreement", plan.n, index)
+        rows = rng.integers(0, 2, size=(hi - lo, plan.n), dtype=np.uint8)
+    elif plan.classes is not None:
+        rows, first = sample_class_counts(plan.sizes, w, hi - lo, seed, index), plan.classes
+    else:
+        rows = sample_layer_chunk(plan.n, w, hi - lo, seed, index)
+    return _tally(rows, _run(plan, rows, first), plan.n)
+
+
+def _check(
+    c: LayeredCircuit,
+    mode: str,
+    jobs: list[tuple],
+    workers: int,
+    seed: int | None = None,
+    ci_halfwidth: float | None = None,
+) -> VerificationReport:
+    """Compile c once, run _work on every job and merge the counts, in job
+    order, into one report.
 
     Sampling and random generation hold the interpreter lock, so scaling
     comes from processes, not threads.  A single worker runs inline.
     """
+    ctx = {"plan": compile_circuit(c), "seed": seed}
+    counts = np.zeros((2, c.n + 1), dtype=np.int64)
     if workers <= 1 or len(jobs) <= 1:
         _pool_init(ctx)
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)), initializer=_pool_init, initargs=(ctx,)
-    ) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _work_rows(job):
-    plan = _WORK_CTX["plan"]
-    rows = _rows(plan.n, *job)
-    return _tally(rows, eval_bulk(plan, rows), plan.n)
-
-
-def _work_layer_sample(job):
-    plan = _WORK_CTX["plan"]
-    w, index, lo, hi = job
-    seed = _WORK_CTX["seed"]
-    if plan.classes is None:
-        bits = sample_layer_chunk(plan.n, w, hi - lo, seed, index)
-        return _tally(bits, eval_bulk(plan, bits), plan.n)
-    counts = sample_class_counts(plan.sizes, w, hi - lo, seed, index)
-    return _tally(counts, eval_counts(plan, counts), plan.n)
-
-
-def _work_agreement(job):
-    plan = _WORK_CTX["plan"]
-    index, lo, hi = job
-    rng = philox(_WORK_CTX["seed"], "agreement", plan.n, index)
-    bits = rng.integers(0, 2, size=(hi - lo, plan.n), dtype=np.uint8)
-    return _tally(bits, eval_bulk(plan, bits), plan.n)
+        for job in jobs:
+            counts += _work(job)
+    else:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs)), initializer=_pool_init, initargs=(ctx,)
+        ) as pool:
+            for part in pool.map(_work, jobs):
+                counts += part
+    checked, errors = counts
+    return VerificationReport(
+        mode, int(checked.sum()), int(errors.sum()),
+        {w: int(checked[w]) for w in np.flatnonzero(checked).tolist()},
+        {w: int(errors[w]) for w in np.flatnonzero(errors).tolist()},
+        seed=seed, ci_halfwidth=ci_halfwidth,
+    )
 
 
 def verify_all(
     c: LayeredCircuit,
     *,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
     cap: int = EXHAUSTIVE_CAP,
 ) -> VerificationReport:
     """Compare the circuit with majority on every one of the 2^n inputs."""
@@ -497,10 +494,8 @@ def verify_all(
             f"n={c.n} exceeds the exhaustive cap {cap}; "
             "use verify_minmax or estimate_agreement"
         )
-    jobs = [(None, lo, hi) for _, lo, hi in _chunks(2**c.n, chunk)]
-    parts = _run_chunks(_work_rows, jobs, workers, {"plan": compile_circuit(c)})
-    cd, ed, total, errs = _merge_counts(c.n, parts)
-    return VerificationReport("exhaustive", total, errs, cd, ed)
+    jobs = [("rows", None, *ch) for ch in _chunks(2**c.n, DEFAULT_CHUNK)]
+    return _check(c, "exhaustive", jobs, workers)
 
 
 # -- weight-layer sampling ---------------------------------------------------
@@ -697,7 +692,6 @@ def verify_minmax(
     samples: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
     cap: int = LAYER_CAP,
 ) -> VerificationReport:
     """Check the two critical weight layers: ceil(n/2) and ceil(n/2) - 1.
@@ -705,12 +699,12 @@ def verify_minmax(
     With samples=None both layers are enumerated exhaustively (subject to
     cap).  Otherwise each layer gets `samples` exact-uniform draws using the
     given seed, as class counts when the circuit's variable classes
-    compress and as bit rows otherwise.  n=1 has no weight-0..-1 layer
-    below the threshold; the lower layer is skipped when empty.
+    compress and as bit rows otherwise.  Both layers hold inputs for every
+    n >= 1: at n=1 they are weights 1 and 0.
     """
     n = c.n
     w_min = majority_threshold(n)
-    layers = [w for w in (w_min, w_min - 1) if 0 <= w <= n]
+    layers = [w_min, w_min - 1]
     if samples is None:
         need = sum(math.comb(n, w) for w in layers)
         if need > cap:
@@ -720,19 +714,14 @@ def verify_minmax(
             )
         if n > 64:
             raise CapExceeded("exact layer enumeration supports n up to 64")
-        jobs = [(w, lo, hi) for w in layers for _, lo, hi in _chunks(math.comb(n, w), chunk)]
-        parts = _run_chunks(_work_rows, jobs, workers, {"plan": compile_circuit(c)})
-        cd, ed, total, errs = _merge_counts(n, parts)
-        return VerificationReport("layers", total, errs, cd, ed)
+        jobs = [("rows", w, *ch) for w in layers for ch in _chunks(math.comb(n, w), DEFAULT_CHUNK)]
+        return _check(c, "layers", jobs, workers)
     if samples < 1:
         raise ValueError("need at least one sample")
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    jobs = [(w, *ch) for w in layers for ch in _chunks(samples, chunk)]
-    ctx = {"plan": compile_circuit(c), "seed": seed}
-    parts = _run_chunks(_work_layer_sample, jobs, workers, ctx)
-    cd, ed, total, errs = _merge_counts(n, parts)
-    return VerificationReport("sample", total, errs, cd, ed, seed=seed)
+    jobs = [("layer", w, *ch) for w in layers for ch in _chunks(samples, DEFAULT_CHUNK)]
+    return _check(c, "sample", jobs, workers, seed=seed)
 
 
 def estimate_agreement(
@@ -742,7 +731,6 @@ def estimate_agreement(
     *,
     delta: float = 0.01,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> VerificationReport:
     """Agreement rate with majority over i.i.d. uniform random inputs.
 
@@ -754,8 +742,6 @@ def estimate_agreement(
         raise ValueError("need at least one sample")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    jobs = _chunks(samples, chunk)
-    parts = _run_chunks(_work_agreement, jobs, workers, {"plan": compile_circuit(c), "seed": seed})
-    cd, ed, total, errs = _merge_counts(c.n, parts)
+    jobs = [("uniform", None, *ch) for ch in _chunks(samples, DEFAULT_CHUNK)]
     half = math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
-    return VerificationReport("sample", total, errs, cd, ed, seed=seed, ci_halfwidth=half)
+    return _check(c, "sample", jobs, workers, seed=seed, ci_halfwidth=half)

@@ -504,11 +504,16 @@ def test_analyze_walk(tmp_path, capsys):
 def test_analyze_walk_bad_start(tmp_path, capsys):
     path = tmp_path / "walk.circ"
     path.write_text(serialize_circuit(published_circuit("n7")))
-    rc = main(
-        ["analyze", "walk", "--circuit", str(path), "--start", "1111000",
-         "--s", "1", "--d", "1", "--x-star", "7", "--g-star", "0"]
-    )
-    assert rc == 2
+    for start, message in (
+        ("1111000", "walk starts one below the majority threshold: weight 3 expected, got 4"),
+        ("0120000", "assignment bits must be 0 or 1"),
+    ):
+        rc = main(
+            ["analyze", "walk", "--circuit", str(path), "--start", start,
+             "--s", "1", "--d", "1", "--x-star", "7", "--g-star", "0"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_analyze_walk_missing_arguments():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,19 +111,41 @@ def pigeonhole(pigeons: int, holes: int) -> tuple[int, list[list[int]]]:
     return pigeons * holes, clauses
 
 
-def test_solver_through_restarts_and_clause_deletion():
-    """Both instances take several restarts and learnt-clause reductions
-    before their verdict: seven pigeons do not fit in six holes, and the
-    random 3-CNF near the threshold is satisfiable."""
-    assert solve(*pigeonhole(7, 6)) is None
-
+def random_3cnf() -> tuple[int, list[list[int]]]:
+    """A satisfiable random 3-CNF near the threshold: 504 clauses over 120
+    variables."""
     rng = random.Random(0)
     num_vars = 120
     clauses = [
         [rng.choice((-1, 1)) * v for v in rng.sample(range(1, num_vars + 1), 3)]
         for _ in range(504)
     ]
+    return num_vars, clauses
+
+
+def test_solver_through_restarts_and_clause_deletion():
+    """Both instances take several restarts and learnt-clause reductions
+    before their verdict: seven pigeons do not fit in six holes, and the
+    random 3-CNF near the threshold is satisfiable."""
+    assert solve(*pigeonhole(7, 6)) is None
+    num_vars, clauses = random_3cnf()
     check_model(num_vars, clauses, solve(num_vars, clauses))
+
+
+def test_solver_rescales_activities():
+    """With a small RESCALE the activities are scaled down again and again:
+    none ever passes the bound, and the verdicts stay."""
+    with mock.patch("majcirc.sat.RESCALE", 1e3):
+        for (num_vars, clauses), sat in ((pigeonhole(7, 6), False), (random_3cnf(), True)):
+            solver = Solver(num_vars)
+            for clause in clauses:
+                solver.add_clause(clause)
+            model = solver.solve()
+            assert max(solver.activity) <= 1e3
+            if sat:
+                check_model(num_vars, clauses, model)
+            else:
+                assert model is None
 
 
 def test_luby_sequence():

@@ -107,12 +107,27 @@ def test_estimate_space_counts_row_multisets():
 
 
 def test_estimate_space_formula_matches_enumeration():
+    # the enumeration itself is checked against filtering all of {0..m}^n
     for n in range(1, 9):
         for m in range(1, 4):
+            by_weight: dict[int, list] = {}
+            for vec in product(range(m + 1), repeat=n):
+                by_weight.setdefault(sum(vec), []).append(vec)
             for k in range(1, n * m + 3):
                 spec = SearchSpaceSpec(n=n, k=k, multiplicity_max=m)
-                rows = len(_candidate_rows(spec))
-                assert estimate_space(spec) == math.comb(rows + k - 1, k), spec
+                rows = _candidate_rows(spec)
+                assert rows == by_weight.get(k, []), spec
+                assert estimate_space(spec) == math.comb(len(rows) + k - 1, k), spec
+
+
+def test_candidate_rows_never_walk_the_whole_cube():
+    # filtering the 3^20 vectors of {0, 1, 2}^20 would take minutes
+    start = time.perf_counter()
+    rows = _candidate_rows(SearchSpaceSpec(n=20, k=3, multiplicity_max=2))
+    assert time.perf_counter() - start < 2
+    assert len(rows) == math.comb(20, 3) + 20 * 19 == 1520
+    assert rows == sorted(set(rows))
+    assert all(sum(row) == 3 and max(row) <= 2 for row in rows)
 
 
 def test_space_cap_refuses_before_enumerating():

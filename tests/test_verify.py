@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,7 +226,8 @@ def test_verify_all_worker_count_does_not_change_the_report():
     c = published_circuit("n7")
     base = verify_all(c, workers=1).to_json()
     assert verify_all(c, workers=3).to_json() == base
-    assert verify_all(c, workers=2, chunk=17).to_json() == base
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 17):
+        assert verify_all(c, workers=2).to_json() == base
 
 
 # -- rank-range enumeration ---------------------------------------------------
@@ -515,9 +517,10 @@ def test_shared_inputs_compile_and_verify_like_unshared_ones(build):
     (s, thresholds, cumulative), *rest = top.steps[0]
     moved = dataclasses.replace(top, steps=(((s, thresholds + 1, cumulative), *rest), *top.steps[1:]))
     assert not same_plan(plan, dataclasses.replace(plan, layers=(*plan.layers[:-1], moved)))
-    base = verify_minmax(alone, samples=1500, seed=8, chunk=500).to_json()
-    for workers in (1, 2):
-        assert verify_minmax(c, samples=1500, seed=8, chunk=500, workers=workers).to_json() == base
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 500):
+        base = verify_minmax(alone, samples=1500, seed=8).to_json()
+        for workers in (1, 2):
+            assert verify_minmax(c, samples=1500, seed=8, workers=workers).to_json() == base
 
 
 def test_step_tables_follow_the_plan_shape():
@@ -709,6 +712,10 @@ def test_class_draw_choice_follows_the_cost_rule():
             cost = verify._REJECTION_COST * (c - 1) * math.comb(big, big // 2) << (n - big)
             exact = 0 < min(w, n - w) and cost <= min(w, n - w) * math.comb(n, w)
             assert verify._rejection_pays(np.array(sizes), w) == exact, (sizes, w)
+    # A = 2 C(7, 3) / C(8, 4) = 1: the cost 4 * A * (C - 1) = 4 equals the
+    # min(4, 4) shuffle steps, a tie the exact integer comparison settles
+    for sizes in ([1, 7], [7, 1]):
+        assert verify._rejection_pays(np.array(sizes), 4)
 
 
 def test_sample_class_counts_checks_its_weight_and_one_class():
@@ -816,9 +823,10 @@ def test_sampled_class_path_matches_exact_error_rate():
         p = float(exact.error_fraction(w))
         sd = math.sqrt(p * (1 - p) / 20000)
         assert abs(float(sampled.error_fraction(w)) - p) <= 5 * sd + 1e-9
-    assert verify_minmax(c, samples=3000, seed=6, workers=2, chunk=700).to_json() == (
-        verify_minmax(c, samples=3000, seed=6, chunk=700).to_json()
-    )
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 700):
+        assert verify_minmax(c, samples=3000, seed=6, workers=2).to_json() == (
+            verify_minmax(c, samples=3000, seed=6).to_json()
+        )
 
 
 # Reports of circuits whose classes do not compress, as computed before
@@ -848,11 +856,12 @@ def test_non_compressing_circuits_keep_their_draws():
         "n9": published_circuit("n9"),
         "corr41": build_correlation(CorrelationParams(n=41, k=9, seed=3)),
     }
-    for name, c in circuits.items():
-        got = verify_minmax(c, samples=3000, seed=5, chunk=1000).to_json()
-        assert got == PINNED_REPORTS[f"minmax-{name}"]
-        got = estimate_agreement(c, 3000, 5, chunk=1000).to_json()
-        assert got == PINNED_REPORTS[f"agree-{name}"]
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 1000):
+        for name, c in circuits.items():
+            got = verify_minmax(c, samples=3000, seed=5).to_json()
+            assert got == PINNED_REPORTS[f"minmax-{name}"]
+            got = estimate_agreement(c, 3000, 5).to_json()
+            assert got == PINNED_REPORTS[f"agree-{name}"]
 
 
 # -- random-input agreement --------------------------------------------------
@@ -909,14 +918,6 @@ def test_report_json_fields():
     assert obj["checked_by_weight"] == {"0": 1, "1": 3, "2": 3, "3": 1}
     assert obj["errors_by_weight"] == {"0": 1, "1": 3}
     assert "seed" not in obj and "ci_halfwidth" not in obj
-
-
-def test_report_csv_layout():
-    report = verify_all(constant_one_circuit(3))
-    lines = report.to_csv().splitlines()
-    assert lines[0] == "weight,checked,errors"
-    assert lines[1] == "0,1,1"
-    assert lines[-1] == "3,1,0"
 
 
 def test_report_error_fraction_requires_data():
