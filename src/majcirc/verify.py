@@ -15,14 +15,21 @@ that each worker receives once.  Per layer the Plan holds the distinct
 weighted supports (one dense weight matrix or one gather per support), each
 gate's support column and threshold, and the arithmetic: float32 when it
 holds every value the layer compares (all circuits the package builds),
-else int64, else Python integers, so every sum is exact.  A layer whose
-gates share supports (block and depth-3 circuits put many thresholds on
-one block sum) hands up its support sums, not one 0/1 column per gate:
-the layer above reads each of them through a step table, its gates'
-sorted thresholds and cumulative weights looked up by binary search, and
-only the top gate compares a sum with a threshold.  Layers whose gates
-each have a support of their own (published, correlation) hand up 0/1
-outputs.
+else int64, else Python integers, so every sum is exact.  A float32 matrix
+packs several sums into each column.  Every sum is below B = 2^bitlen(F),
+F the layer's largest fan-in; with S sums, p = floor(24 / log2 B) and
+h = ceil(S / p), column c holds B^i times the weights of sum c + i*h for
+each i < p, so each product entry is a base-B number whose digits are
+sums.  Entries and partial sums are integers below B^p <= 2^24, so the
+product is exact in any order of addition, and exact divisions by the
+power of two B split off the digits.  int64 and object matrices hold one
+sum per column.  A layer whose gates share supports (block and depth-3
+circuits put many thresholds on one block sum) hands up its support sums,
+not one 0/1 column per gate: the layer above reads each of them through a
+step table, its gates' sorted thresholds and cumulative weights looked
+up by binary search, and only the top gate compares a sum with a
+threshold.  Layers whose gates each have a support of their own
+(published, correlation) hand up 0/1 outputs.
 
 Variables whose weight columns into layer 1 are identical form a variable
 class; only the number of ones in each class matters to the circuit.  When
@@ -39,7 +46,11 @@ equals its sum on every bit row with those counts, so the report has the
 same law; later layers and the tally are unchanged.  Circuits that do
 not compress (published, correlation) keep the bit sampler: each bit
 column is drawn with numpy's exact bounded integers, one column at a
-time, in about 1 byte per bit of the chunk.
+time, in about 1 byte per bit of the chunk.  Uniform inputs for
+estimate_agreement take one bit per byte of the chunk's Philox words:
+input bit r * n + i is the top bit of byte r * n + i of the words read
+as little-endian bytes, the bits numpy's integers(0, 2, dtype=uint8)
+returns from the same stream.
 
 Every check runs through one function, _check, and one chunk worker, _work.
 The entry points only cut their rows into jobs (source, w, index, lo, hi)
@@ -91,7 +102,8 @@ _REJECTION_COST = 4
 # to 2^24 in float32, whose products run on BLAS.  Every term of a sum is
 # nonnegative, so no partial sum exceeds the full one in any order of
 # addition.
-_TIERS = ((2**24, np.float32), (2**63 - 1, np.int64))
+_FLOAT32_BITS = 24
+_TIERS = ((2**_FLOAT32_BITS, np.float32), (2**63 - 1, np.int64))
 
 
 class CapExceeded(ValueError):
@@ -109,11 +121,11 @@ def _arithmetic(top: int) -> np.dtype:
 class LayerPlan:
     """One compiled layer of gates.
 
-    The distinct weighted supports of the gates give the sum columns.  Gate
-    g fires when sum column group[g] reaches theta[g]; group is None when
-    gate g reads column g.  Thresholds are clamped into 0..fanin+1, which
-    keeps every gate's truth table, so dtype holds the largest fan-in plus
-    one exactly.
+    The distinct weighted supports of the gates give the `columns` sum
+    columns.  Gate g fires when sum column group[g] reaches theta[g]; group
+    is None when gate g reads column g.  Thresholds are clamped into
+    0..fanin+1, which keeps every gate's truth table, so dtype holds the
+    largest fan-in plus one exactly.
 
     A layer with group None hands its gates' 0/1 outputs up; a layer with
     group set hands up its sums, and compile_circuit reads its group and
@@ -129,15 +141,23 @@ class LayerPlan:
       sorted, in the dtype of the layer below; cumulative starts at 0, in
       this layer's dtype.
     * 0/1 outputs, bits or class counts: one product with `matrix` (width
-      x supports) when it is set, else one gather per `supports` entry
-      (positions as a slice or index array, and weights, None when all are
-      1); steps is None.
+      x h) when it is set, else one gather per `supports` entry (positions
+      as a slice or index array, and weights, None when all are 1); steps
+      is None.  Every sum is below `base`, a power of two, and matrix
+      column c holds base^i times the weights of sum c + i*h, for every
+      i with c + i*h < columns: product entry c is the base-`base` number
+      whose digit i is sum c + i*h.  A float32 matrix packs the most
+      digits whose numbers stay below 2^24, so its product is exact; an
+      int64 or object matrix holds one digit (h = columns).  base is 0
+      when matrix is None.
     """
 
     dtype: np.dtype
     theta: np.ndarray
     group: np.ndarray | None
+    columns: int
     matrix: np.ndarray | None
+    base: int
     supports: tuple
     steps: tuple | None
 
@@ -161,28 +181,31 @@ class Plan:
     classes: LayerPlan | None
 
 
-def _sum_form(sigs: list, width: int, dtype: np.dtype) -> tuple[np.ndarray | None, tuple]:
-    """(matrix, supports) computing the sums of the signatures sigs."""
-    gather_cost = sum(len(sig) for sig in sigs)
-    if width * (_DENSE_ADVANTAGE + len(sigs)) <= _DENSE_ADVANTAGE * gather_cost:
-        matrix = np.zeros((width, len(sigs)), dtype=dtype)
-        rows = [p for sig in sigs for p, _ in sig]
-        cols = [j for j, sig in enumerate(sigs) for _ in sig]
-        matrix[rows, cols] = np.array([w for sig in sigs for _, w in sig], dtype=dtype)
-        return matrix, ()
+def _sum_form(entries: tuple, columns: int, width: int, dtype: np.dtype, top: int) -> dict:
+    """The LayerPlan fields matrix, base and supports that compute the
+    `columns` sums of entries, no sum above top, over rows of `width`.
+
+    entries are flat (positions, weights, column) arrays, weights in dtype,
+    ordered by column and by position within a column."""
+    positions, weights, column = entries
+    if width * (_DENSE_ADVANTAGE + columns) <= _DENSE_ADVANTAGE * len(positions):
+        bits = top.bit_length()
+        digits = _FLOAT32_BITS // bits if dtype == np.float32 else 1
+        h = -(-columns // digits)
+        plain = np.zeros((width, digits * h), dtype=dtype)
+        plain[positions, column] = weights
+        scales = np.array([1 << bits * i for i in range(digits)], dtype=dtype)
+        matrix = (plain.reshape(width, digits, h) * scales[:, None]).sum(axis=1)
+        return {"matrix": matrix, "base": 1 << bits, "supports": ()}
     supports = []
-    for sig in sigs:
-        positions = [p for p, _ in sig]
-        start, stop = positions[0], positions[-1] + 1
-        if stop - start == len(positions):
-            idx = slice(start, stop)
-        else:
-            idx = np.asarray(positions, dtype=np.intp)
-        wts = None
-        if any(w != 1 for _, w in sig):
-            wts = np.array([w for _, w in sig], dtype=dtype)
-        supports.append((idx, wts))
-    return None, tuple(supports)
+    ends = np.cumsum(np.bincount(column, minlength=columns)).tolist()
+    for start, stop in zip([0, *ends], ends):
+        idx, wts = positions[start:stop], weights[start:stop]
+        first, last = int(idx[0]), int(idx[-1])
+        if last + 1 - first == stop - start:
+            idx = slice(first, last + 1)
+        supports.append((idx, None if (wts == 1).all() else wts))
+    return {"matrix": None, "base": 0, "supports": tuple(supports)}
 
 
 def _step_tables(sigs: list, below: LayerPlan, dtype: np.dtype) -> tuple:
@@ -203,9 +226,13 @@ def _step_tables(sigs: list, below: LayerPlan, dtype: np.dtype) -> tuple:
     return tuple(tables)
 
 
-def _compile_layer(gates: tuple[ThresholdGate, ...], width: int, below: LayerPlan | None) -> tuple[LayerPlan, list]:
-    """The layer's plan and its distinct supports in column order; below is
-    the compiled layer under it, None for layer 1."""
+def _compile_layer(
+    gates: tuple[ThresholdGate, ...], width: int, below: LayerPlan | None
+) -> tuple[LayerPlan, tuple, int]:
+    """The layer's plan, the flat (positions, weights, column) entries of
+    its distinct supports in column order, weights in the layer's dtype,
+    and its largest fan-in; below is the compiled layer under it, None for
+    layer 1."""
     columns: dict[tuple, int] = {}
     # gates on one support usually share one inputs object: hash it once
     by_id: dict[int, int] = {}
@@ -216,41 +243,67 @@ def _compile_layer(gates: tuple[ThresholdGate, ...], width: int, below: LayerPla
             j = by_id[id(g.inputs)] = columns.setdefault(g.inputs, len(columns))
         group.append(j)
     sigs = list(columns)
-    fanins = [sum(w for _, w in sig) for sig in sigs]
-    dtype = _arithmetic(max(fanins) + 1)
+    lengths = np.fromiter(map(len, sigs), dtype=np.intp, count=len(sigs))
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(sigs)))
+    # weights stay Python integers until the largest fan-in picks the dtype
+    weights = np.array(flat[1::2], dtype=object)
+    fanins = np.add.reduceat(weights, np.cumsum(lengths) - lengths).tolist()
+    top = max(fanins)
+    dtype = _arithmetic(top + 1)
+    entries = (
+        np.array(flat[0::2], dtype=np.intp),
+        weights.astype(dtype),
+        np.repeat(np.arange(len(sigs)), lengths),
+    )
     theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)
     # with every support distinct, setdefault numbered gate g's column g
     grouped = None if len(sigs) == len(gates) else np.asarray(group, dtype=np.intp)
     if below is not None and below.group is not None:
-        return LayerPlan(dtype, theta, grouped, None, (), _step_tables(sigs, below, dtype)), sigs
-    matrix, supports = _sum_form(sigs, width, dtype)
-    return LayerPlan(dtype, theta, grouped, matrix, supports, None), sigs
+        steps = _step_tables(sigs, below, dtype)
+        return LayerPlan(dtype, theta, grouped, len(sigs), None, 0, (), steps), entries, top
+    form = _sum_form(entries, len(sigs), width, dtype, top)
+    return LayerPlan(dtype, theta, grouped, len(sigs), steps=None, **form), entries, top
+
+
+def _classes(n: int, entries: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each variable's class and each class's first variable, classes
+    numbered in order of their first variable: variables are in one class
+    when their (column, weight) entries into layer 1 are equal."""
+    positions, weights, column = entries
+    codes = np.unique(weights, return_inverse=True)[1].reshape(-1)
+    keys = column * (int(codes.max()) + 1) + codes
+    # row v lists variable v's keys by column, padded with -1
+    order = np.argsort(positions, kind="stable")
+    degree = np.bincount(positions, minlength=n)
+    slot = np.arange(len(order)) - np.repeat(np.cumsum(degree) - degree, degree)
+    rows = np.full((n, int(degree.max())), -1, dtype=np.int64)
+    rows[positions[order], slot] = keys[order]
+    # one opaque item per row compares rows by their bytes
+    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)], np.sort(first)
 
 
 def compile_circuit(c: LayeredCircuit) -> Plan:
     """Compile c once for eval_bulk, the workers and the class sampler."""
-    first, sigs = _compile_layer(c.layers[0], c.n, None)
+    first, entries, top = _compile_layer(c.layers[0], c.n, None)
     layers = [first]
     for lower, gates in zip(c.layers, c.layers[1:]):
         layers.append(_compile_layer(gates, len(lower), layers[-1])[0])
-    # a variable's weight column into layer 1, as (support, weight) pairs
-    var_columns: list[list[tuple[int, int]]] = [[] for _ in range(c.n)]
-    for j, sig in enumerate(sigs):
-        for p, w in sig:
-            var_columns[p].append((j, w))
-    ids: dict[tuple, int] = {}
-    class_of = [ids.setdefault(tuple(col), len(ids)) for col in var_columns]
-    sizes = np.bincount(class_of, minlength=len(ids))
+    class_of, leaders = _classes(c.n, entries)
+    sizes = np.bincount(class_of, minlength=len(leaders))
     classes = None
-    if _CLASS_COMPRESSION * len(ids) <= c.n:
+    if _CLASS_COMPRESSION * len(leaders) <= c.n:
         # every member of a class sits in the same supports with the same
-        # weight, so a support's sum is its classes' counts times weights
-        class_sigs: list[list[tuple[int, int]]] = [[] for _ in sigs]
-        for cls, col in enumerate(ids):
-            for j, w in col:
-                class_sigs[j].append((cls, w))
-        matrix, supports = _sum_form(class_sigs, len(ids), first.dtype)
-        classes = dataclasses.replace(first, matrix=matrix, supports=supports)
+        # weight, so a support's sum is its classes' counts times weights:
+        # the entries of each class's first variable, renamed to the class
+        positions, weights, column = entries
+        kept = np.isin(positions, leaders)
+        class_entries = (class_of[positions[kept]], weights[kept], column[kept])
+        form = _sum_form(class_entries, first.columns, len(leaders), first.dtype, top)
+        classes = dataclasses.replace(first, **form)
     return Plan(c.n, c.top, tuple(layers), sizes, classes)
 
 
@@ -264,7 +317,19 @@ def _sums(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
                 sums[:, t] += cumulative[np.searchsorted(thresholds, rows[:, s], side="right")]
         return sums
     if lp.matrix is not None:
-        return rows.astype(lp.dtype) @ lp.matrix
+        # digit i of product column c is sum c + i*h; division by the
+        # power of two base is exact
+        packed = rows.astype(lp.dtype) @ lp.matrix
+        h = packed.shape[1]
+        sums = np.empty((rows.shape[0], lp.columns), dtype=lp.dtype)
+        *lower, last = range(0, lp.columns, h)
+        for lo in lower:
+            high = packed / lp.base
+            np.floor(high, out=high)
+            np.subtract(packed, high * lp.base, out=sums[:, lo : lo + h])
+            packed = high
+        sums[:, last:] = packed[:, : lp.columns - last]
+        return sums
     sums = np.empty((rows.shape[0], len(lp.supports)), dtype=lp.dtype)
     for j, (idx, wts) in enumerate(lp.supports):
         cols = rows[:, idx]
@@ -438,8 +503,12 @@ def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
     if source == "rows":
         rows = _rows(plan.n, w, lo, hi)
     elif source == "uniform":
-        rng = philox(seed, "agreement", plan.n, index)
-        rows = rng.integers(0, 2, size=(hi - lo, plan.n), dtype=np.uint8)
+        # the top bit of each little-endian byte of the stream's words
+        size = (hi - lo) * plan.n
+        words = philox(seed, "agreement", plan.n, index).bit_generator.random_raw(-(-size // 8))
+        rows = words.astype("<u8", copy=False).view(np.uint8)[:size]
+        rows >>= 7
+        rows = rows.reshape(hi - lo, plan.n)
     elif plan.classes is not None:
         rows, first = sample_class_counts(plan.sizes, w, hi - lo, seed, index), plan.classes
     else:

@@ -25,6 +25,7 @@ from majcirc.construct import (
     published_circuit,
 )
 from majcirc import verify
+from majcirc._rand import philox
 from majcirc.core import (
     Assignment,
     LayeredCircuit,
@@ -179,6 +180,53 @@ def shared_support_circuits(draw):
 @given(shared_support_circuits())
 def test_step_tables_match_eval_circuit_in_every_tier(case):
     assert_matches_eval_circuit(*case)
+
+
+def digit_circuit(fanin: int) -> LayeredCircuit:
+    """Seven gates of the given fan-in on 8 variables, weights near
+    fanin / 8 and different per gate, under one majority of them."""
+    base, extra = divmod(fanin, 8)
+    bottom = []
+    for j in range(7):
+        weights = [base + (i < extra) for i in range(8)]
+        weights[j] -= 1
+        weights[(j + 1) % 8] += 1
+        bottom.append(ThresholdGate(tuple(enumerate(weights)), fanin // 2 + j))
+    return LayeredCircuit(n=8, k=fanin, layers=(tuple(bottom), (majority_gate(range(7)),)), top=0)
+
+
+def gather_plan(c: LayeredCircuit):
+    """c compiled with every sum gathered, no dense product."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_DENSE_ADVANTAGE", 0)
+        return compile_circuit(c)
+
+
+@pytest.mark.parametrize(
+    "fanin, base, width",
+    [(255, 256, 3), (256, 512, 4), (4095, 4096, 4), (4096, 8192, 7)],
+    ids=["B256-p3", "B512-p2", "B4096-p2", "B8192-p1"],
+)
+def test_packed_products_are_exact_at_the_digit_boundaries(fanin, base, width):
+    # 7 sums in ceil(7 / p) product columns, so a digit past p would be
+    # used and pass 2^24; at fan-in 4095 an all-ones row makes the largest
+    # packed value, 4095 * 4097 = 2^24 - 1
+    c = digit_circuit(fanin)
+    dense, gathered = compile_circuit(c), gather_plan(c)
+    first = dense.layers[0]
+    assert first.dtype == np.float32 and first.base == base and first.matrix.shape == (8, width)
+    assert gathered.layers[0].matrix is None
+    rng = np.random.default_rng(fanin)
+    rows = np.vstack([rng.integers(0, 2, size=(2000, 8), dtype=np.uint8), np.ones((2, 8), dtype=np.uint8)])
+    if fanin == 4095:
+        assert (rows[-1:].astype(np.float32) @ first.matrix).max() == 2**24 - 1
+    sums = verify._sums(first, rows)
+    assert np.array_equal(sums, verify._sums(gathered.layers[0], rows))
+    assert sums[-1].tolist() == [fanin] * 7
+    assert eval_bulk(dense, rows).tolist() == eval_bulk(gathered, rows).tolist()
+    for top in range(7):  # each layer-1 gate as the top gate
+        alone = LayeredCircuit(c.n, c.k, c.layers[:1], top)
+        assert eval_bulk(alone, rows).tolist() == eval_bulk(gather_plan(alone), rows).tolist()
 
 
 def test_truth_table_single_gate():
@@ -496,6 +544,115 @@ def same_plan(x, y) -> bool:
     return type(x) is type(y) and x == y
 
 
+# -- compile_circuit against a per-entry reference ---------------------------
+
+
+def reference_sum_form(sigs: list, width: int, dtype, top: int) -> dict:
+    """LayerPlan matrix, base and supports of the sums of sigs, built entry
+    by entry; the dense matrix puts base^i times sum c + i*h in column c."""
+    gather_cost = sum(len(sig) for sig in sigs)
+    if width * (verify._DENSE_ADVANTAGE + len(sigs)) <= verify._DENSE_ADVANTAGE * gather_cost:
+        plain = np.zeros((width, len(sigs)), dtype=dtype)
+        rows = [p for sig in sigs for p, _ in sig]
+        cols = [j for j, sig in enumerate(sigs) for _ in sig]
+        plain[rows, cols] = np.array([w for sig in sigs for _, w in sig], dtype=dtype)
+        base = 2 ** top.bit_length()
+        digits = 24 // top.bit_length() if dtype == np.float32 else 1
+        h = -(-len(sigs) // digits)
+        matrix = np.zeros((width, h), dtype=dtype)
+        for c in range(h):
+            for i in range(digits):
+                if c + i * h < len(sigs):
+                    matrix[:, c] += base**i * plain[:, c + i * h]
+        return {"matrix": matrix, "base": base, "supports": ()}
+    supports = []
+    for sig in sigs:
+        positions = [p for p, _ in sig]
+        start, stop = positions[0], positions[-1] + 1
+        if stop - start == len(positions):
+            idx = slice(start, stop)
+        else:
+            idx = np.asarray(positions, dtype=np.intp)
+        wts = None
+        if any(w != 1 for _, w in sig):
+            wts = np.array([w for _, w in sig], dtype=dtype)
+        supports.append((idx, wts))
+    return {"matrix": None, "base": 0, "supports": tuple(supports)}
+
+
+def reference_compile_layer(gates, width: int, below):
+    """compile_circuit's layer, its distinct supports and largest fan-in,
+    from per-entry Python loops."""
+    columns: dict[tuple, int] = {}
+    group = [columns.setdefault(g.inputs, len(columns)) for g in gates]
+    sigs = list(columns)
+    fanins = [sum(w for _, w in sig) for sig in sigs]
+    dtype = verify._arithmetic(max(fanins) + 1)
+    theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)
+    grouped = None if len(sigs) == len(gates) else np.asarray(group, dtype=np.intp)
+    if below is not None and below.group is not None:
+        steps = verify._step_tables(sigs, below, dtype)
+        return verify.LayerPlan(dtype, theta, grouped, len(sigs), None, 0, (), steps), sigs, max(fanins)
+    form = reference_sum_form(sigs, width, dtype, max(fanins))
+    return verify.LayerPlan(dtype, theta, grouped, len(sigs), steps=None, **form), sigs, max(fanins)
+
+
+def reference_compile(c: LayeredCircuit):
+    """compile_circuit from per-entry Python loops: variable columns as
+    tuples of (support, weight) pairs, classes numbered by first variable."""
+    first, sigs, top = reference_compile_layer(c.layers[0], c.n, None)
+    layers = [first]
+    for lower, gates in zip(c.layers, c.layers[1:]):
+        layers.append(reference_compile_layer(gates, len(lower), layers[-1])[0])
+    var_columns: list[list[tuple[int, int]]] = [[] for _ in range(c.n)]
+    for j, sig in enumerate(sigs):
+        for p, w in sig:
+            var_columns[p].append((j, w))
+    ids: dict[tuple, int] = {}
+    class_of = [ids.setdefault(tuple(col), len(ids)) for col in var_columns]
+    sizes = np.bincount(class_of, minlength=len(ids))
+    classes = None
+    if 8 * len(ids) <= c.n:
+        class_sigs: list[list[tuple[int, int]]] = [[] for _ in sigs]
+        for cls, col in enumerate(ids):
+            for j, w in col:
+                class_sigs[j].append((cls, w))
+        classes = dataclasses.replace(first, **reference_sum_form(class_sigs, len(ids), first.dtype, top))
+    return verify.Plan(c.n, c.top, tuple(layers), sizes, classes)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: published_circuit("n7"),
+        lambda: published_circuit("n9"),
+        lambda: published_circuit("n11"),
+        lambda: build_correlation(CorrelationParams(n=41, k=9, seed=3)),
+        lambda: build_correlation(CorrelationParams(n=1001, k=256, seed=1)),
+        lambda: build_block_circuit(default_block_params(4096)),
+        lambda: build_depth3(Depth3Params(3)),
+        lambda: weighted_block_circuit(),
+    ],
+    ids=["n7", "n9", "n11", "corr41", "corr1001", "block4096", "depth3_b3", "weighted-blocks"],
+)
+def test_compile_matches_the_per_entry_reference(build):
+    c = build()
+    assert same_plan(compile_circuit(c), reference_compile(c))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_DENSE_ADVANTAGE", math.inf)  # every sum dense
+        assert same_plan(compile_circuit(c), reference_compile(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(tiered_circuits(), shared_support_circuits()))
+def test_compile_matches_the_per_entry_reference_in_every_tier(case):
+    c, _ = case
+    for advantage in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_DENSE_ADVANTAGE", advantage)
+            assert same_plan(compile_circuit(c), reference_compile(c))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -636,6 +793,46 @@ def test_class_counts_evaluate_like_their_bit_rows(circuit):
         assert out.tolist() == eval_bulk(circuit, expand_counts(circuit, counts, rng)).tolist()
         outs.append(out)
     assert 0 < np.concatenate(outs).sum() < 2 * len(outs[0])  # both outputs occur
+
+
+def class_subset_circuit(sizes, weights, subsets) -> LayeredCircuit:
+    """One layer-1 gate per subset of classes, reading class j's sizes[j]
+    variables (numbered class by class) with weight weights[j], under a
+    majority of those gates."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    bottom = []
+    for sub in subsets:
+        inputs = tuple((v, weights[j]) for j in sorted(sub) for v in range(starts[j], starts[j + 1]))
+        bottom.append(ThresholdGate(inputs, (sum(w for _, w in inputs) + 1) // 2))
+    k = max(len(bottom), max(g.fanin for g in bottom))
+    return LayeredCircuit(n=starts[-1], k=k, layers=(tuple(bottom), (majority_gate(range(len(bottom))),)), top=0)
+
+
+def nonempty_subsets(items):
+    return [set(sub) for r in range(1, len(items) + 1) for sub in itertools.combinations(items, r)]
+
+
+@pytest.mark.parametrize(
+    "circuit, dense_bits",
+    [
+        # a class of 100 in one support makes bit rows gather and count rows dense
+        (class_subset_circuit([100, 1, 1, 1, 1], [1] * 5,
+                              [s | {0} if len(s) == 4 else s for s in nonempty_subsets(range(1, 5))]), False),
+        (class_subset_circuit([8] * 4, [1, 2, 3, 4], nonempty_subsets(range(4))), True),
+    ],
+    ids=["gathered-bits", "dense-bits"],
+)
+def test_class_layer_packs_its_own_product(circuit, dense_bits):
+    # largest fan-in 104 or 80: base 128 and 3 digits, 15 sums in 5 columns
+    plan = compile_circuit(circuit)
+    assert (plan.layers[0].matrix is not None) == dense_bits
+    assert plan.classes.base == 128 and plan.classes.matrix.shape == (len(plan.sizes), 5)
+    rng = np.random.default_rng(6)
+    counts = np.vstack([rng.integers(0, plan.sizes + 1, size=(1000, len(plan.sizes))), plan.sizes[None, :]])
+    bits = expand_counts(circuit, counts, rng)
+    assert np.array_equal(verify._sums(plan.classes, counts), verify._sums(plan.layers[0], bits))
+    out = eval_counts(plan, counts)
+    assert out.tolist() == eval_bulk(plan, bits).tolist() and 0 < out.sum() < len(out)
 
 
 def test_class_counts_follow_the_hypergeometric_law():
@@ -886,6 +1083,25 @@ def test_estimate_agreement_delta_shapes_the_interval():
     r1 = estimate_agreement(single_majority(5), 100, seed=0, delta=0.01)
     r2 = estimate_agreement(single_majority(5), 100, seed=0, delta=0.5)
     assert r1.ci_halfwidth > r2.ci_halfwidth
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 41, 1001])
+def test_uniform_rows_are_numpys_bounded_integers(n):
+    # m * n runs over values that are not multiples of 4 or 8
+    cases = [(m, index) for m in (1, 3, 7, 1000) for index in (0, 7)]
+    seen = []
+
+    def keep_rows(plan, rows, first):
+        seen.append(rows.copy())
+        return np.zeros(len(rows), dtype=np.uint8)
+
+    verify._pool_init({"plan": compile_circuit(single_majority(n)), "seed": 11})
+    with mock.patch.object(verify, "_run", keep_rows):
+        for m, index in cases:
+            verify._work(("uniform", None, index, 0, m))
+    for rows, (m, index) in zip(seen, cases, strict=True):
+        expect = philox(11, "agreement", n, index).integers(0, 2, size=(m, n), dtype=np.uint8)
+        assert rows.dtype == np.uint8 and rows.shape == (m, n) and np.array_equal(rows, expect)
 
 
 def test_estimate_agreement_worker_count_does_not_change_the_report():
