@@ -201,7 +201,7 @@ def _cmd_fool(args) -> int:
     a = search.fooling_input(c)
     out = eval_circuit(c, a)
     obj = {
-        "assignment": "".join(str(b) for b in a.bits),
+        "assignment": str(a),
         "weight": a.weight,
         "majority": majority_value(a),
         "circuit_output": out,
@@ -307,7 +307,7 @@ def _cmd_analyze_walk(args) -> int:
         diffs = ";".join(f"{g}:{d}" for g, d in step.diffs_after)
         print(f"{idx},{step.gate},{step.ones_available},{step.flipped},{diffs}")
     print(f"stop_reason: {trace.stop_reason}")
-    print(f"final: {''.join(str(b) for b in trace.final.bits)}")
+    print(f"final: {trace.final}")
     return EXIT_OK
 
 

@@ -142,22 +142,6 @@ def build_block_circuit(params: BlockParams) -> LayeredCircuit:
     return LayeredCircuit(n=n, k=k, layers=(tuple(bottom), (top,)), top=0)
 
 
-def _closer_to_cbrt_sq(n: int, d1: int, d2: int) -> int:
-    """Pick whichever of d1 <= d2 is closer to n^(2/3), ties to d1.
-
-    Exact integer comparison: d1 is at least as close iff (d1+d2)^3 >= 8n^2
-    when both straddle the target, while same-side cases reduce to cube
-    comparisons.
-    """
-    c1, c2 = d1**3, d2**3
-    sq = n * n
-    if c1 >= sq:  # both at or above the target
-        return d1
-    if c2 <= sq:  # both at or below
-        return d2
-    return d1 if (d1 + d2) ** 3 >= 8 * sq else d2
-
-
 def block_window(p: int, alpha: float = DEFAULT_ALPHA) -> int:
     """Window width ceil(alpha*sqrt(p ln p)) for blocks of p, clamped to 1..p
     so the threshold range is never empty and never leaves 1..p.  alpha must
@@ -169,13 +153,21 @@ def block_window(p: int, alpha: float = DEFAULT_ALPHA) -> int:
 
 
 def default_block_params(n: int, alpha: float = DEFAULT_ALPHA) -> BlockParams:
-    """p = divisor of n nearest n^(2/3) (ties smaller); t = block_window(p)."""
+    """p = divisor of n nearest n^(2/3) (ties smaller); t = block_window(p).
+
+    Only the divisors on either side of the target can be nearest: lo, the
+    largest with lo^3 <= n^2, and hi, the smallest with hi^3 >= n^2.  lo is
+    at least as near exactly when (lo+hi)^3 >= 8n^2, compared in integers.
+    The divisors are read off those up to sqrt(n).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
-    p = divisors[0]
-    for d in divisors[1:]:
-        p = _closer_to_cbrt_sq(n, p, d) if p < d else p
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in small]
+    sq = n * n
+    lo = max(d for d in divisors if d**3 <= sq)
+    hi = min(d for d in divisors if d**3 >= sq)
+    p = lo if (lo + hi) ** 3 >= 8 * sq else hi
     return BlockParams(n=n, p=p, window_t=block_window(p, alpha))
 
 

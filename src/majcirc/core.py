@@ -335,6 +335,8 @@ def eval_circuit(c: LayeredCircuit, a: Assignment) -> int:
 
 _MAGIC = "majcirc 1"
 _REF_RE = re.compile(r"^(x(\d+)|g(\d+):(\d+))\*(-?\d+)$")
+# characters of text that parse_circuit splits into lines at once
+_LINE_BLOCK = 1 << 16
 
 
 def serialize_circuit(c: LayeredCircuit) -> str:
@@ -361,6 +363,21 @@ def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
     return int(m.group(1)), int(m.group(2)), int(m.group(3))
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text without its comment and outer whitespace) of each
+    line that keeps any, numbered as by str.splitlines.  The text is split
+    one block of about _LINE_BLOCK characters at a time, cut after a
+    newline, so memory holds one block's lines and not the whole list."""
+    no = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        for no, raw in enumerate(text[start:end].splitlines(), no + 1):
+            stripped = raw.split("#", 1)[0].strip()
+            if stripped:
+                yield no, stripped
+        start = end
+
+
 def parse_circuit(text: str) -> LayeredCircuit:
     """Parse the text format back into a circuit.
 
@@ -371,19 +388,16 @@ def parse_circuit(text: str) -> LayeredCircuit:
     Circuit checks, such as fan-in over the declared bound k, come from
     LayeredCircuit as a plain CircuitError.
     """
-    lines: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((no, stripped))
-    if not lines:
-        raise CircuitParseError(1, "empty input")
-    no, magic = lines[0]
+    lines = _content_lines(text)
+    no, magic = next(lines, (1, None))
+    if magic is None:
+        raise CircuitParseError(no, "empty input")
     if magic != _MAGIC:
         raise CircuitParseError(no, f"expected {_MAGIC!r}, got {magic!r}")
-    if len(lines) < 2:
+    header_no, header = next(lines, (no, None))
+    if header is None:
         raise CircuitParseError(no, "missing header line")
-    n, k, depth = _parse_header(*lines[1])
+    n, k, depth = _parse_header(header_no, header)
 
     # Gate lines by layer, keyed by gate id.  A gate's position in its layer
     # is the order of its line in the file, so lines may come in any order
@@ -391,7 +405,8 @@ def parse_circuit(text: str) -> LayeredCircuit:
     rows: dict[int, dict[int, tuple[int, int, int, str]]] = {}
     bodies: dict[str, str] = {}
     top_ref: tuple[int, int, int] | None = None
-    for no, line in lines[2:]:
+    no = header_no
+    for no, line in lines:
         if line.startswith("gate "):
             m = re.fullmatch(r"gate (\d+):(\d+) theta (-?\d+) : (.*)", line)
             if not m:
@@ -414,11 +429,12 @@ def parse_circuit(text: str) -> LayeredCircuit:
             top_ref = (no, int(m.group(1)), int(m.group(2)))
         else:
             raise CircuitParseError(no, f"unrecognized line {line!r}")
+    last_no = no
 
     layers: list[tuple[ThresholdGate, ...]] = []
     for d in range(1, depth + 1):
         if d not in rows:
-            raise CircuitParseError(lines[1][0], f"layer {d} has no gates")
+            raise CircuitParseError(header_no, f"layer {d} has no gates")
         below = rows.get(d - 1, {})
         gates = []
         # body text -> inputs of the first gate built from it, shared by the
@@ -465,7 +481,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
         layers.append(tuple(gates))
 
     if top_ref is None:
-        raise CircuitParseError(lines[-1][0], "missing top line")
+        raise CircuitParseError(last_no, "missing top line")
     no, top_layer, top_id = top_ref
     if top_layer != depth:
         raise CircuitParseError(no, f"top must name a layer {depth} gate")

@@ -7,16 +7,19 @@ gates under a fixed standard-majority top gate:
 * a CNF encoding handed to a DIMACS SAT solver, external or the built-in
   majcirc.sat (selector variables per gate/variable/multiplicity level,
   sequential-counter cardinality, unary comparisons per critical input),
-  plus a decoder that rebuilds the circuit from a model and always
-  re-verifies it on all inputs.  Clauses are held as one int32 matrix, a
-  clause per row padded with 0.  The inputs of one critical layer get the
-  same block of clauses up to the selectors they read and where their
-  own variables start, so each layer records one block over placeholder
-  selectors and numpy replicates it; the DIMACS text is built in numpy
-  from fixed-width literal slots, and its bytes are those of building
-  every clause on its own;
+  plus a decoder that rebuilds the circuit from a model, reading every
+  unary ladder one way, and always re-verifies it on all inputs.  Each
+  constraint, the counter's one recurrence too, is written once over
+  constant literals that the clause builder folds away.  Clauses are
+  held as one int32 matrix, a clause per row padded with 0.  The inputs
+  of one critical layer get the same block of clauses up to the
+  selectors they read and where their own variables start, so each layer
+  records one block over placeholder selectors and numpy replicates it;
+  the DIMACS text is built in numpy from fixed-width literal slots, and
+  its bytes are those of building every clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
-  with minterm/maxterm pruning, all children of a node tested at once.
+  with minterm/maxterm pruning, all children of a node tested at once on
+  the critical inputs one more gate decides.
 
 Because every candidate circuit is monotone, correctness on all minterms
 and maxterms of the majority implies correctness everywhere, so both
@@ -39,7 +42,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -207,29 +210,39 @@ def _critical_layers(n: int) -> list[tuple[np.ndarray, int]]:
 # -- CNF construction -------------------------------------------------------
 
 
+# the constant literals of _CnfBuilder, folded away by take(): negation
+# swaps them, and unlike the bools (1 == True) they equal no variable
+_TRUE, _FALSE = math.inf, -math.inf
+
+
 class _CnfBuilder:
     """Fresh variables after num_vars, and the clauses added since the last
     take()."""
 
     def __init__(self, num_vars: int = 0):
         self.num_vars = num_vars
-        self.clauses: list[tuple[int, ...]] = []
+        self.clauses: list[tuple[float, ...]] = []
 
     def new_var(self) -> int:
         self.num_vars += 1
         return self.num_vars
 
-    def add(self, *lits: int) -> None:
+    def add(self, *lits: float) -> None:
         self.clauses.append(lits)
 
     def take(self) -> np.ndarray:
-        """The pending clauses as a 0-padded int32 matrix, one per row."""
+        """The pending clauses as a 0-padded int32 matrix, one per row, with
+        constants folded: a clause holding _TRUE is satisfied and dropped,
+        and _FALSE is left out of its clause."""
         rows, self.clauses = self.clauses, []
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        out = np.zeros((len(rows), int(lengths.max(initial=0))), dtype=np.int32)
-        out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int32
-        )
+        lits = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=lengths.sum())
+        row = np.repeat(np.arange(len(rows)), lengths)
+        dropped = np.bincount(row[lits == _TRUE], minlength=len(rows)) > 0
+        keep = ~dropped[row] & (lits != _FALSE)
+        lengths = np.bincount(row[keep], minlength=len(rows))[~dropped]
+        out = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.int32)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = lits[keep]
         return out
 
 
@@ -258,39 +271,30 @@ def _replicate(block: np.ndarray, base: int, slots: np.ndarray, nvars: int) -> n
 
 
 def _counter_cells(b: _CnfBuilder, lits: Sequence[int], qmax: int) -> list[int]:
-    """Sequential counter over lits, returning final cells where cells[q-1]
-    is equivalent to (at least q of lits are true), for q = 1..min(len, qmax).
+    """Sinz's sequential counter over lits, returning final cells where
+    cells[q-1] is equivalent to (at least q of lits are true), for
+    q = 1..min(len, qmax).
 
-    Both implication directions are emitted, so each cell is an exact
-    cardinality predicate rather than a one-sided relaxation.
-    """
-    prev: list[int] = []
-    for r, x in enumerate(lits, start=1):
-        cur = [b.new_var() for _ in range(min(r, qmax))]
-        for q in range(1, len(cur) + 1):
-            cq = cur[q - 1]
-            up = prev[q - 1] if q - 1 < len(prev) else None
-            if q == 1:
-                # c[r][1] <-> c[r-1][1] or x
-                b.add(-x, cq)
-                if up is not None:
-                    b.add(-up, cq)
-                    b.add(-cq, up, x)
-                else:
-                    b.add(-cq, x)
-            else:
-                # c[r][q] <-> c[r-1][q] or (c[r-1][q-1] and x)
-                diag = prev[q - 2]
-                b.add(-diag, -x, cq)
-                if up is not None:
-                    b.add(-up, cq)
-                    b.add(-cq, up, diag)
-                    b.add(-cq, up, x)
-                else:
-                    b.add(-cq, diag)
-                    b.add(-cq, x)
-        prev = cur
-    return prev
+    Every cell is c[r][q] <-> c[r-1][q] or (c[r-1][q-1] and x_r), both
+    directions, over a column whose c[r-1][0] is _TRUE and whose cells
+    past the last are _FALSE."""
+    col: list[float] = [_TRUE]  # c[r-1][0..]
+    for x in lits:
+        cells = [b.new_var() for _ in range(min(len(col), qmax))]
+        col.append(_FALSE)
+        for cq, diag, up in zip(cells, col, col[1:]):
+            b.add(-diag, -x, cq)
+            b.add(-up, cq)
+            b.add(-cq, up, diag)
+            b.add(-cq, up, x)
+        col = [_TRUE, *cells]
+    return col[1:]
+
+
+def _at_least(cells: Sequence[int], q: int) -> float:
+    """The literal for (at least q counted literals are true), q >= 1:
+    cells[q-1] of _counter_cells, and _FALSE past the last cell."""
+    return cells[q - 1] if q <= len(cells) else _FALSE
 
 
 def _counter_cost(length: int, qmax: int) -> int:
@@ -412,25 +416,16 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             f"encoding estimated at {est} clauses, over the cap {clause_cap}", est
         )
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
-    b = _CnfBuilder()
 
     # selector variables first so the varmap occupies the low ids
-    sel: dict[tuple[int, int, int], int] = {}
-    for g in range(k):
-        for i in range(n):
-            for j in range(1, mult + 1):
-                sel[(g, i, j)] = b.new_var()
-    thr: dict[tuple[int, int], int] = {}
-    if not spec.standard_thresholds:
-        for g in range(k):
-            for q in range(1, k + 1):
-                thr[(g, q)] = b.new_var()
+    sel = {key: v for v, key in enumerate(product(range(k), range(n), range(1, mult + 1)), 1)}
+    levels = () if spec.standard_thresholds else product(range(k), range(1, k + 1))
+    thr = {key: v for v, key in enumerate(levels, len(sel) + 1)}
+    b = _CnfBuilder(len(sel) + len(thr))
 
     # multiplicity ladders: carrying level j implies carrying level j-1
-    for g in range(k):
-        for i in range(n):
-            for j in range(2, mult + 1):
-                b.add(-sel[(g, i, j)], sel[(g, i, j - 1)])
+    for (g, i, j), v in sel.items():
+        b.add(-v, sel.get((g, i, j - 1), _TRUE))
     # threshold ladders, thresholds at least 1
     for g in range(k):
         if not spec.standard_thresholds:
@@ -453,8 +448,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             b.add(-v)
         else:
             b.add(cells[k - 1])
-            if k + 1 <= len(cells):
-                b.add(-cells[k])
+        b.add(-_at_least(cells, k + 1))
     exactly_k = b.take()
 
     # per-input gate outputs and the fixed top majority.  The blocks of one
@@ -477,29 +471,24 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             o = blk.new_var()
             outs.append(o)
             if spec.standard_thresholds:
-                if len(lits) < theta:
-                    blk.add(-o)
-                else:
-                    cells = _counter_cells(blk, lits, theta)
-                    blk.add(-o, cells[theta - 1])
-                    blk.add(o, -cells[theta - 1])
+                # fewer than theta literals never fire and need no counter
+                cells = _counter_cells(blk, lits, theta) if len(lits) >= theta else []
+                fires = _at_least(cells, theta)
+                blk.add(-o, fires)
+                blk.add(o, -fires)
             else:
                 cells = _counter_cells(blk, lits, min(k, len(lits)))
                 for q in range(1, k + 1):
-                    tq = thr[(g, q)]
-                    if q <= len(cells):
-                        # fires -> sum reaches every level up to the threshold
-                        blk.add(-o, -tq, cells[q - 1])
-                        # threshold exactly q and sum short of q -> silent
-                        above = [thr[(g, q + 1)]] if q + 1 <= k else []
-                        blk.add(o, -tq, *above, -cells[q - 1])
-                    else:
-                        blk.add(-o, -tq)
-        top = _counter_cells(blk, outs, theta)
-        if value:
-            blk.add(top[theta - 1])
-        else:
-            blk.add(-top[theta - 1])
+                    tq, fires = thr[(g, q)], _at_least(cells, q)
+                    # fires -> sum reaches every level up to the threshold
+                    blk.add(-o, -tq, fires)
+                    # threshold exactly q and sum short of q -> silent
+                    blk.add(o, -tq, thr.get((g, q + 1), _FALSE), -fires)
+        # the top gate's output is the required value
+        top = _at_least(_counter_cells(blk, outs, theta), theta)
+        required = (_FALSE, _TRUE)[value]
+        blk.add(-top, required)
+        blk.add(top, -required)
         nvars = blk.num_vars - base - k * w * mult
         slots = sel_ids[:, ones, :].transpose(1, 0, 2, 3).reshape(len(ones), -1)
         per_assignment.append(_replicate(blk.take(), base, slots, nvars))
@@ -509,15 +498,14 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
     # selector vectors; sound because the top gate is symmetric in the rows
     for g in range(k - 1):
         a, c = gate_lits(g), gate_lits(g + 1)
-        guard: list[int] = []  # [-e], e: the rows agree before position p
-        for p, (ap, cp) in enumerate(zip(a, c)):
-            b.add(*guard, -ap, cp)
-            if p == len(a) - 1:
-                break
+        guard = _FALSE  # -e, e: the rows agree before this position
+        for ap, cp in zip(a[:-1], c[:-1]):
+            b.add(guard, -ap, cp)
             e = b.new_var()
-            b.add(*guard, -ap, -cp, e)
-            b.add(*guard, ap, cp, e)
-            guard = [-e]
+            b.add(guard, -ap, -cp, e)
+            b.add(guard, ap, cp, e)
+            guard = -e
+        b.add(guard, -a[-1], c[-1])
 
     symmetry = b.take()
 
@@ -647,39 +635,33 @@ def decode(instance: CnfInstance, model: Iterable[int]) -> LayeredCircuit:
         assign[abs(lit)] = lit > 0
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
 
-    def lookup(var: int, what: str) -> bool:
-        if var not in assign:
-            raise ModelError(f"model does not assign {what} (CNF variable {var})")
-        return assign[var]
+    def level(kind: str, where: str, ladder: Iterable[int]) -> int:
+        """The top level set on a ladder of variables for levels 1, 2, ..."""
+        top = 0
+        for j, var in enumerate(ladder, 1):
+            if var not in assign:
+                raise ModelError(f"model does not assign {kind} {where}={j} (CNF variable {var})")
+            if assign[var]:
+                if j != top + 1:
+                    raise ModelError(f"{kind} ladder broken at {where}={j}")
+                top = j
+        return top
 
     rows: list[ThresholdGate] = []
     for g in range(k):
         inputs = []
-        weight = 0
         for i in range(n):
-            m = 0
-            for j in range(1, mult + 1):
-                on = lookup(instance.sel[(g, i, j)], f"selector g={g} x{i + 1} j={j}")
-                if on:
-                    if j != m + 1:
-                        raise ModelError(
-                            f"selector ladder broken at g={g} x{i + 1} j={j}"
-                        )
-                    m = j
+            ladder = [instance.sel[(g, i, j)] for j in range(1, mult + 1)]
+            m = level("selector", f"g={g} x{i + 1} j", ladder)
             if m:
                 inputs.append((i, m))
-                weight += m
+        weight = sum(m for _, m in inputs)
         if weight != k:
             raise ModelError(f"gate {g} carries weight {weight}, expected {k}")
-        if spec.standard_thresholds:
-            theta = spec.theta
-        else:
-            theta = 0
-            for q in range(1, k + 1):
-                if lookup(instance.thr[(g, q)], f"threshold g={g} q={q}"):
-                    if q != theta + 1:
-                        raise ModelError(f"threshold ladder broken at g={g} q={q}")
-                    theta = q
+        theta = spec.theta
+        if not spec.standard_thresholds:
+            ladder = [instance.thr[(g, q)] for q in range(1, k + 1)]
+            theta = level("threshold", f"g={g} q", ladder)
             if theta < 1:
                 raise ModelError(f"gate {g} decodes to threshold {theta}")
         rows.append(ThresholdGate(tuple(inputs), theta))
@@ -737,6 +719,11 @@ def _candidate_rows(spec: SearchSpaceSpec) -> list[tuple[int, ...]]:
     return [row for row, _ in rows]
 
 
+def _thresholds(spec: SearchSpaceSpec) -> Sequence[int]:
+    """The thresholds a candidate row may carry."""
+    return (spec.theta,) if spec.standard_thresholds else range(1, spec.k + 1)
+
+
 def estimate_space(spec: SearchSpaceSpec) -> int:
     """Number of non-decreasing k-tuples of candidate gates, without
     enumerating them.
@@ -750,8 +737,7 @@ def estimate_space(spec: SearchSpaceSpec) -> int:
         (-1) ** j * math.comb(n, j) * math.comb(k - j * (m + 1) + n - 1, n - 1)
         for j in range(min(n, k // (m + 1)) + 1)
     )
-    cands = rows if spec.standard_thresholds else rows * spec.k
-    return math.comb(cands + spec.k - 1, spec.k)
+    return math.comb(rows * len(_thresholds(spec)) + k - 1, k)
 
 
 def exhaustive_search(
@@ -762,10 +748,12 @@ def exhaustive_search(
 
     Prunes a branch as soon as some minterm cannot reach the top threshold
     even if all remaining gates fire, or some maxterm already reaches it.
-    Every child of a node is tested at once: one numpy expression adds
-    each candidate's firing column to the node's minterm and maxterm
-    counts and keeps the columns that pass, and the survivors are entered
-    in increasing candidate order, so the search visits nodes in the same
+    A node tests its children only on the critical inputs that one more
+    gate decides: the minterms one short of the threshold after the free
+    gates, on which a child must fire, and the maxterms one short of it,
+    on which it must stay silent; a minterm two short ends the node.  All
+    children are tested at once, and the survivors are entered in
+    increasing candidate order, so the search visits nodes in the same
     order as testing one child at a time.  The first complete candidate
     that verifies on all inputs is returned.
     """
@@ -776,20 +764,16 @@ def exhaustive_search(
             est,
         )
     n, k = spec.n, spec.k
-    rows = _candidate_rows(spec)
-    if spec.standard_thresholds:
-        cands = [(vec, spec.theta) for vec in rows]
-    else:
-        cands = [(vec, theta) for vec in rows for theta in range(1, k + 1)]
+    cands = [(vec, t) for vec in _candidate_rows(spec) for t in _thresholds(spec)]
     if not cands:
         return None
 
     vecs = np.array([vec for vec, _ in cands], dtype=np.int64)
-    thetas = np.array([theta for _, theta in cands], dtype=np.int64)
-    # (minterm fires, maxterm fires): [a, c] is 1 when candidate c fires
+    thetas = np.array([t for _, t in cands], dtype=np.int64)
+    # (minterm fires, maxterm fires): [a, c] is True when candidate c fires
     # on critical input a of the layer
     fires_min, fires_max = (
-        (vecs[:, ones].sum(axis=2).T >= thetas).astype(np.int32) for ones, _ in _critical_layers(n)
+        vecs[:, ones].sum(axis=2).T >= thetas for ones, _ in _critical_layers(n)
     )
     theta = spec.theta
     chosen: list[int] = []
@@ -804,10 +788,14 @@ def exhaustive_search(
             )
             circuit = LayeredCircuit(n=n, k=k, layers=(gates, (majority_gate(range(k)),)), top=0)
             return circuit if verify_all(circuit).errors == 0 else None
-        # a child leaves k - depth - 1 gates that could still fire
-        reach = (mins[:, None] + fires_min[:, start:] + (k - depth - 1) >= theta).all(axis=0)
-        clear = (maxs[:, None] + fires_max[:, start:] < theta).all(axis=0)
-        for c in (np.flatnonzero(reach & clear) + start).tolist():
+        # how far each minterm stays from theta if the k - depth - 1 gates
+        # after the child all fire
+        short = theta - (k - depth - 1) - mins
+        if short.max() > 1:
+            return None
+        ok = fires_min[short == 1, start:].all(axis=0)
+        ok &= ~fires_max[maxs == theta - 1, start:].any(axis=0)
+        for c in (np.flatnonzero(ok) + start).tolist():
             chosen.append(c)
             found = recurse(c, depth + 1, mins + fires_min[:, c], maxs + fires_max[:, c])
             if found is not None:

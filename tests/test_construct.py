@@ -188,6 +188,38 @@ def test_block_window_small_positive_alpha_still_clamps_to_one():
     assert block_window(64, 100.0) == 64
 
 
+def pairwise_nearest_divisor(n: int) -> int:
+    """The divisor of n nearest n^(2/3), ties to the smaller, by walking all
+    divisors in order and keeping the nearer of each and the best so far;
+    the oracle for default_block_params."""
+
+    def closer(d1: int, d2: int) -> int:
+        c1, c2 = d1**3, d2**3
+        sq = n * n
+        if c1 >= sq:  # both at or above the target
+            return d1
+        if c2 <= sq:  # both at or below
+            return d2
+        return d1 if (d1 + d2) ** 3 >= 8 * sq else d2
+
+    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
+    p = divisors[0]
+    for d in divisors[1:]:
+        p = closer(p, d) if p < d else p
+    return p
+
+
+def test_default_block_params_matches_the_pairwise_scan():
+    for n in [*range(1, 3001), 4096, 32768, 46656, 65536, 99999, 100000]:
+        assert default_block_params(n).p == pairwise_nearest_divisor(n), n
+
+
+def test_default_block_params_reads_divisors_up_to_the_square_root():
+    assert default_block_params(10**6).p == 10**4
+    # a scan of all n candidate divisors would not finish here
+    assert default_block_params(10**12).p == 10**8
+
+
 def test_default_block_params_picks_divisor_near_two_thirds_power():
     for n in [6, 10, 24, 36, 100, 128, 1000, 4096]:
         bp = default_block_params(n)

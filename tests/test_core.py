@@ -509,6 +509,27 @@ def test_parse_memory_does_not_grow_with_declared_depth():
     assert peak < 1 << 20
 
 
+def test_parse_reads_its_text_a_block_at_a_time():
+    """Parsing splits one block of the text into lines at a time, so its
+    peak stays far below the text; "\r\n" line ends parse and number like
+    "\n"."""
+    c = build_block_circuit(default_block_params(4096))
+    text = serialize_circuit(c)
+    tracemalloc.start()
+    try:
+        parsed = parse_circuit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == c
+    assert peak < len(text) / 2
+    assert parse_circuit(text.replace("\n", "\r\n")) == c
+    crlf = "majcirc 1\r\n\r\nn 1 k 1 depth 1  # x\r\ngate 1:0 theta 1 : x1*1\r\n\r\n"
+    with pytest.raises(CircuitParseError, match="missing top line") as err:
+        parse_circuit(crlf)
+    assert err.value.line == 4
+
+
 def test_parse_rejects_fanin_over_declared_bound():
     text = (
         "majcirc 1\nn 4 k 3 depth 1\n"

@@ -39,6 +39,9 @@ from majcirc.search import (
     SearchSpaceSpec,
     SolverError,
     SpaceTooLarge,
+    _CnfBuilder,
+    _FALSE,
+    _TRUE,
     _candidate_rows,
     _critical_layers,
     decode,
@@ -270,6 +273,20 @@ def test_varmap_lists_threshold_vars_in_full_mode(tmp_path: Path):
     instance.write_varmap(varmap)
     tlines = [l for l in varmap.read_text().splitlines() if l.startswith("t ")]
     assert len(tlines) == 3 * 3  # gates * threshold levels 1..k
+
+
+def test_builder_folds_constant_literals():
+    """A clause holding _TRUE is dropped and _FALSE is left out of it, while
+    the variable literals 1 and -1 always stay (a bool constant would take
+    them for True and -True)."""
+    b = _CnfBuilder()
+    b.add(1, -1)
+    b.add(_TRUE, 2, -1)
+    b.add(-3, _FALSE, 1)
+    b.add(-_TRUE, -1, _FALSE)  # negation swaps the constants
+    b.add(4, -_FALSE)
+    assert b.take().tolist() == [[1, -1], [-3, 1], [-1, 0]]
+    assert b.num_vars == 0 and b.clauses == []
 
 
 # sha256 of write_dimacs, num_vars and clause count, computed with the
