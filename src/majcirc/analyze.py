@@ -71,12 +71,20 @@ def hypergeom_pmf(p: HypergeomParams, l: int) -> Fraction:
     )
 
 
+def _tail_numerators(m: int, kk: int, t: int) -> list[int]:
+    """Entry l counts the size-t draws that hit at least l of the kk marked
+    elements: suffix sums of C(kk, j) C(m - kk, t - j) for l = 0..min(kk, t),
+    then a closing 0."""
+    tails = [0]
+    for j in range(min(kk, t), -1, -1):
+        tails.append(tails[-1] + math.comb(kk, j) * math.comb(m - kk, t - j))
+    return tails[::-1]
+
+
 def hypergeom_tail(p: HypergeomParams, l: int) -> Fraction:
     """Probability of hitting at least l marked elements."""
-    return sum(
-        (hypergeom_pmf(p, j) for j in range(max(l, 0), min(p.kk, p.t_draws) + 1)),
-        Fraction(0),
-    )
+    tails = _tail_numerators(p.m, p.kk, p.t_draws)
+    return Fraction(tails[min(max(l, 0), len(tails) - 1)], math.comb(p.m, p.t_draws))
 
 
 @dataclass(frozen=True)
@@ -116,17 +124,11 @@ def tail_bound_sweep(
         denom = [math.comb(m, t) for t in range(m + 1)]
         for kk in range(0, m // 2 + 1):
             for t in range(m // 4 + 1, min((3 * m - 1) // 4, m) + 1):
-                pmf_num = [
-                    math.comb(kk, j) * math.comb(m - kk, t - j)
-                    for j in range(min(kk, t) + 1)
-                ]
-                tails = [0] * (len(pmf_num) + 1)
-                for j in range(len(pmf_num) - 1, -1, -1):
-                    tails[j] = tails[j + 1] + pmf_num[j]
-                for l in range(kk + 1):
-                    tail_num = tails[l] if l < len(tails) else 0
-                    checked += 1
-                    if tail_num * m**l > (t * kk) ** l * denom[t]:
+                # every l in 0..kk counts; past the tails the tail is 0,
+                # which no bound is below
+                checked += kk + 1
+                for l, tail in enumerate(_tail_numerators(m, kk, t)[: kk + 1]):
+                    if tail * m**l > (t * kk) ** l * denom[t]:
                         violations.append((HypergeomParams(m, kk, t), l))
     return checked, violations
 

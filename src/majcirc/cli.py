@@ -3,9 +3,10 @@
 One executable, six subcommands: construct writes circuits in the text
 format, verify checks them against the majority, search looks for new
 circuits (CNF plus a SAT solver, or exhaustive backtracking), decode
-turns a saved solver model back into a circuit, fool produces an explicit
-counterexample input for fan-in n-2 candidate circuits, and analyze runs
-the exact combinatorial sweeps.
+turns a saved solver model into a circuit, fool builds a counterexample
+input for a fan-in n-2 circuit, and analyze runs the exact sweeps.  Each
+leaf parser names its handler once, as the argparse default run, and
+main calls args.run(args).
 
 Exit codes: 0 success, 1 a verification found errors, 2 bad usage, unparsable
 input or a size cap, 3 a search came back unsatisfiable or exhausted.
@@ -64,8 +65,7 @@ def _emit(obj: dict, fmt: str) -> None:
 
 
 def _load_circuit(path: str) -> LayeredCircuit:
-    with open(path) as fh:
-        return parse_circuit(fh.read())
+    return parse_circuit(Path(path).read_text())
 
 
 def _write_circuit(c: LayeredCircuit, args) -> int:
@@ -93,14 +93,13 @@ def _write_circuit(c: LayeredCircuit, args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "published":
+    if args.kind == "published":
         c = construct.published_circuit(args.tag)
-    elif kind == "correlation":
+    elif args.kind == "correlation":
         c = construct.build_correlation(
             construct.CorrelationParams(n=args.n, k=args.k, seed=args.seed)
         )
-    elif kind == "block":
+    elif args.kind == "block":
         p = construct.default_block_params(args.n).p if args.p is None else args.p
         window = construct.block_window(p, args.alpha) if args.window is None else args.window
         c = construct.build_block_circuit(construct.BlockParams(args.n, p, window))
@@ -177,13 +176,14 @@ def _cmd_search(args) -> int:
     instance = search.encode(spec, clause_cap=args.clause_cap)
     cnf_path = instance.write_files(args.out_dir)
     print(f"wrote {cnf_path} ({instance.num_vars} vars, {len(instance.clauses)} clauses)")
+    print("sections:", *(f"{k}={v}" for k, v in instance.sections.items()), file=sys.stderr)
     if args.no_solve:
         return EXIT_OK
-    found = search.solve_instance(instance, cnf_path, args.solver)
-    if found is None:
+    model = search.run_solver(cnf_path, args.solver)
+    if model is None:
         print("unsatisfiable: no circuit in the space", file=sys.stderr)
         return EXIT_UNSAT
-    return _write_circuit(found, args)
+    return _write_circuit(search.decode(instance, model), args)
 
 
 def _cmd_decode(args) -> int:
@@ -359,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("tag", choices=construct.PUBLISHED_TAGS)
     for sp in (cc, cb, cd, cp):
         sp.add_argument("--out", help="circuit file (default: stdout)")
+        sp.set_defaults(run=_cmd_construct)
 
     v = sub.add_parser("verify", help="compare a circuit with the majority")
     v.add_argument("circuit")
@@ -373,10 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--agree", action="store_true", help="agreement rate on uniform inputs"
     )
     v.add_argument("--samples", type=int, default=10000)
+    v.set_defaults(run=_cmd_verify)
 
     s = sub.add_parser("search", help="look for a circuit in a space")
     d = sub.add_parser("decode", help="turn a saved solver model into a circuit")
-    for sp in (s, d):
+    for sp, run in ((s, _cmd_search), (d, _cmd_decode)):
+        sp.set_defaults(run=run)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--multiplicity", type=int, default=2)
@@ -391,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fool", help="counterexample input for a fan-in n-2 circuit")
     f.add_argument("circuit")
+    f.set_defaults(run=_cmd_fool)
 
     a = sub.add_parser("analyze", help="exact combinatorial checks and sweeps")
     asub = a.add_subparsers(dest="subcommand", required=True)
@@ -402,13 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     ah.add_argument("--kk", type=int)
     ah.add_argument("--t", type=int)
     ah.add_argument("--l", type=int)
+    ah.set_defaults(run=_cmd_analyze_hypergeom)
     ab = asub.add_parser("binomial")
     ab.add_argument("--grid", type=_int_grid, required=True)
     ab.add_argument("--c", type=float, default=0.5)
+    ab.set_defaults(run=_cmd_analyze_binomial)
     abd = asub.add_parser("boundary")
     abd.add_argument("--n", type=int, required=True)
+    abd.set_defaults(run=_cmd_analyze_boundary)
     ai = asub.add_parser("influence")
     ai.add_argument("--l", type=int, required=True)
+    ai.set_defaults(run=_cmd_analyze_influence)
     aw = asub.add_parser("walk")
     aw.add_argument("--circuit", required=True)
     aw.add_argument("--start", required=True, help="assignment bits, e.g. 0110100")
@@ -417,33 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     aw.add_argument("--x-star", type=int, required=True)
     aw.add_argument("--g-star", type=_int_grid, required=True)
     aw.add_argument("--gate-choice", choices=("lowest", "random"), default="lowest")
+    aw.set_defaults(run=_cmd_analyze_walk)
     return p
-
-
-_ANALYZE = {
-    "hypergeom": _cmd_analyze_hypergeom,
-    "binomial": _cmd_analyze_binomial,
-    "boundary": _cmd_analyze_boundary,
-    "influence": _cmd_analyze_influence,
-    "walk": _cmd_analyze_walk,
-}
-
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "decode": _cmd_decode,
-    "fool": _cmd_fool,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return _ANALYZE[args.subcommand](args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

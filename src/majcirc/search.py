@@ -690,17 +690,10 @@ def solve_spec(
     """
     instance = encode(spec, clause_cap=clause_cap)
     if keep_files is not None:
-        return solve_instance(instance, instance.write_files(keep_files), solver)
-    with tempfile.TemporaryDirectory(prefix="majcirc-") as tmp:
-        return solve_instance(instance, instance.write_files(tmp), solver)
-
-
-def solve_instance(
-    instance: CnfInstance, dimacs_path: str | Path, solver: str | None = None
-) -> LayeredCircuit | None:
-    """Solve the instance's DIMACS file and decode the model.  None when
-    unsatisfiable."""
-    model = run_solver(dimacs_path, solver)
+        model = run_solver(instance.write_files(keep_files), solver)
+    else:
+        with tempfile.TemporaryDirectory(prefix="majcirc-") as tmp:
+            model = run_solver(instance.write_files(tmp), solver)
     return None if model is None else decode(instance, model)
 
 
@@ -768,13 +761,22 @@ def exhaustive_search(
     if not cands:
         return None
 
-    vecs = np.array([vec for vec, _ in cands], dtype=np.int64)
-    thetas = np.array([t for _, t in cands], dtype=np.int64)
-    # (minterm fires, maxterm fires): [a, c] is True when candidate c fires
-    # on critical input a of the layer
-    fires_min, fires_max = (
-        vecs[:, ones].sum(axis=2).T >= thetas for ones, _ in _critical_layers(n)
-    )
+    # [i, c]: candidate c's multiplicity of variable i, in the dtype of k,
+    # which holds any candidate's count on an input
+    dtype = np.min_scalar_type(k)
+    mults = np.array([vec for vec, _ in cands], dtype=dtype).T.copy()
+    thetas = np.array([t for _, t in cands], dtype=dtype)
+
+    def fires(ones: np.ndarray) -> np.ndarray:
+        """[a, c] is True when candidate c fires on critical input a.  The
+        counts are summed one one-position column at a time, as rows per
+        input, which recurse selects."""
+        counts = np.zeros((len(ones), len(cands)), dtype=dtype)
+        for col in ones.T:
+            counts += mults[col]
+        return counts >= thetas
+
+    fires_min, fires_max = (fires(ones) for ones, _ in _critical_layers(n))
     theta = spec.theta
     chosen: list[int] = []
 

@@ -563,6 +563,8 @@ def verify_all(
             f"n={c.n} exceeds the exhaustive cap {cap}; "
             "use verify_minmax or estimate_agreement"
         )
+    if c.n > 64:
+        raise CapExceeded("exhaustive enumeration supports n up to 64")
     jobs = [("rows", None, *ch) for ch in _chunks(2**c.n, DEFAULT_CHUNK)]
     return _check(c, "exhaustive", jobs, workers)
 

@@ -100,6 +100,16 @@ def test_tail_examples():
     assert hypergeom_tail(p, 3) == 0
 
 
+def test_tail_is_the_sum_of_the_pmf_above_l():
+    for m in range(1, 13):
+        for kk in range(m + 1):
+            for t in range(m + 1):
+                p = HypergeomParams(m, kk, t)
+                for l in range(-1, kk + 3):
+                    want = sum((hypergeom_pmf(p, j) for j in range(max(l, 0), kk + 1)), Fraction(0))
+                    assert hypergeom_tail(p, l) == want, (p, l)
+
+
 def test_tail_check_example():
     p = HypergeomParams(m=4, kk=2, t_draws=2)
     check = hypergeom_tail_check(p, 1)

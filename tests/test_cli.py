@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import majcirc
-from majcirc import search
+from majcirc import cli, search, verify
 from majcirc.cli import WORKERS_ENV, build_parser, main
 from majcirc.construct import (
     CorrelationParams,
@@ -148,6 +148,19 @@ def test_verify_all_cap(tmp_path):
     path = tmp_path / "big.circ"
     path.write_text(serialize_circuit(c))
     assert main(["verify", str(path), "--all"]) == 2
+
+
+def test_verify_all_refuses_n_past_64_at_any_cap(tmp_path, monkeypatch, capsys):
+    def no_jobs(*args):
+        raise AssertionError("job list built for an input space over 2^64")
+
+    monkeypatch.setattr(verify, "_chunks", no_jobs)
+    c = LayeredCircuit(n=65, k=65, layers=((majority_gate(range(65)),),), top=0)
+    path = tmp_path / "n65.circ"
+    path.write_text(serialize_circuit(c))
+    assert main(["--exhaustive-cap", "100", "verify", str(path), "--all"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cap exceeded: ")
 
 
 def test_verify_minmax_exact(n7_file, capsys):
@@ -311,6 +324,16 @@ def test_search_cnf_files_match_the_library_layout(tmp_path, capsys):
     assert names == sorted(p.name for p in lib_dir.iterdir())
     for name in names:
         assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
+
+
+def test_search_prints_the_cnf_sections_on_stderr(tmp_path, capsys):
+    rc = main(["search", "--n", "4", "--k", "3", "--no-solve", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    instance = search.encode(search.SearchSpaceSpec(n=4, k=3))
+    err = capsys.readouterr().err
+    assert err == "sections: " + " ".join(f"{k}={v}" for k, v in instance.sections.items()) + "\n"
+    assert list(instance.sections) == ["ladders", "exactly_k", "per_assignment", "symmetry"]
+    assert sum(instance.sections.values()) == len(instance.clauses)
 
 
 def test_search_cnf_end_to_end(tmp_path, capsys):
@@ -521,6 +544,32 @@ def test_analyze_walk_missing_arguments():
 
 
 # -- general dispatch --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["construct", "published", "n7"], "_cmd_construct"),
+        (["construct", "correlation", "--n", "5", "--k", "5"], "_cmd_construct"),
+        (["construct", "block", "--n", "64"], "_cmd_construct"),
+        (["construct", "depth3", "--b", "2"], "_cmd_construct"),
+        (["verify", "c.circ", "--all"], "_cmd_verify"),
+        (["search", "--n", "3", "--k", "3"], "_cmd_search"),
+        (["decode", "--n", "3", "--k", "3", "--model", "m.txt"], "_cmd_decode"),
+        (["fool", "c.circ"], "_cmd_fool"),
+        (["analyze", "hypergeom", "--sweep"], "_cmd_analyze_hypergeom"),
+        (["analyze", "binomial", "--grid", "32"], "_cmd_analyze_binomial"),
+        (["analyze", "boundary", "--n", "5"], "_cmd_analyze_boundary"),
+        (["analyze", "influence", "--l", "5"], "_cmd_analyze_influence"),
+        (
+            ["analyze", "walk", "--circuit", "c.circ", "--start", "01", "--s", "1",
+             "--d", "1", "--x-star", "1", "--g-star", "1"],
+            "_cmd_analyze_walk",
+        ),
+    ],
+)
+def test_each_leaf_parser_names_its_handler(argv, handler):
+    assert build_parser().parse_args(argv).run is getattr(cli, handler)
 
 
 def test_unknown_command():

@@ -539,6 +539,18 @@ def test_exhaustive_n5_k3_standard_is_infeasible():
     assert exhaustive_search(SearchSpaceSpec(n=5, k=3)) is None
 
 
+def test_exhaustive_counts_stay_within_one_input_matrix():
+    # the firing counts are summed a one-position column at a time, so no
+    # (candidates x inputs x weight) array is ever held
+    tracemalloc.start()
+    try:
+        assert exhaustive_search(SearchSpaceSpec(n=14, k=3)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+
+
 def test_exhaustive_full_thresholds_widen_the_space():
     spec = SearchSpaceSpec(n=2, k=2, standard_thresholds=False)
     c = exhaustive_search(spec)

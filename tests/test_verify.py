@@ -270,6 +270,15 @@ def test_verify_all_cap():
         verify_all(single_majority(12), cap=10)
 
 
+def test_verify_all_refuses_n_past_64_before_making_jobs(monkeypatch):
+    def no_jobs(*args):
+        raise AssertionError("job list built for an input space over 2^64")
+
+    monkeypatch.setattr(verify, "_chunks", no_jobs)
+    with pytest.raises(CapExceeded, match="up to 64"):
+        verify_all(single_majority(65), cap=100)
+
+
 def test_verify_all_worker_count_does_not_change_the_report():
     c = published_circuit("n7")
     base = verify_all(c, workers=1).to_json()
