@@ -54,24 +54,27 @@ returns from the same stream.
 
 Every check runs through one function, _check, and one chunk worker, _work.
 The entry points only cut their rows into jobs (source, w, index, lo, hi)
-of at most DEFAULT_CHUNK rows, a fixed size.  _check compiles the circuit
-once, runs the jobs inline or in a process pool and merges their counts
-in job order; _work makes a chunk's rows as its source says (a rank range
-of an exhaustive sweep, draws from the weight-w layer, or uniform bits),
-then evaluates and tallies them.  An exhaustive job decodes its own rank
-range, so memory is O(chunk) whatever the cap.  Each sampled chunk owns
-its random stream, derived from the seed and its index, so a report
-depends only on the circuit, the sample count and the seed, never on how
-many worker processes produced it.
+of at most DEFAULT_CHUNK rows, a fixed size, made lazily.  _check compiles
+the circuit once, runs the jobs inline or in a process pool, at most two
+per worker in flight, and merges their counts in job order; _work makes a
+chunk's rows as its source says (a rank range of an exhaustive sweep,
+draws from the weight-w layer, or uniform bits), then evaluates and
+tallies them.  An exhaustive job decodes its own rank range, so memory
+is O(chunk) whatever the cap.  Each sampled chunk owns its random stream,
+derived from the seed and its index, so a report depends only on the
+circuit, the sample count and the seed, never on how many worker
+processes produced it.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
 import json
 import math
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -406,9 +409,10 @@ def _rows(n: int, w: int | None, lo: int, hi: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, 64 - n :])
 
 
-def _chunks(total: int, chunk: int) -> list[tuple[int, int, int]]:
-    """(index, lo, hi) of each chunk when total rows are cut into chunks."""
-    return [(index, lo, min(lo + chunk, total)) for index, lo in enumerate(range(0, total, chunk))]
+def _chunks(total: int, chunk: int) -> Iterator[tuple[int, int, int]]:
+    """(index, lo, hi) of each chunk when total rows are cut into chunks,
+    made one at a time as they are read."""
+    return ((index, lo, min(lo + chunk, total)) for index, lo in enumerate(range(0, total, chunk)))
 
 
 def truth_table(c: LayeredCircuit) -> np.ndarray:
@@ -482,8 +486,8 @@ def _tally(rows: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 # Worker processes receive the compiled plan and the seed once at pool
 # start-up and read them from this module-level slot; job tuples then stay
-# tiny.  Results come back through pool.map, which preserves job order, so
-# the merged report cannot depend on scheduling.
+# tiny.  Results are merged in the order the jobs were submitted, so the
+# merged report cannot depend on scheduling.
 _WORK_CTX: dict = {}
 
 
@@ -519,7 +523,7 @@ def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _check(
     c: LayeredCircuit,
     mode: str,
-    jobs: list[tuple],
+    jobs: Iterable[tuple],
     workers: int,
     seed: int | None = None,
     ci_halfwidth: float | None = None,
@@ -527,21 +531,29 @@ def _check(
     """Compile c once, run _work on every job and merge the counts, in job
     order, into one report.
 
-    Sampling and random generation hold the interpreter lock, so scaling
-    comes from processes, not threads.  A single worker runs inline.
+    Jobs are read as they are needed: a pool holds at most 2 * workers of
+    them in flight, so memory does not grow with their number.  Sampling
+    and random generation hold the interpreter lock, so scaling comes from
+    processes, not threads.  A single worker, or a single job, runs inline.
     """
     ctx = {"plan": compile_circuit(c), "seed": seed}
     counts = np.zeros((2, c.n + 1), dtype=np.int64)
-    if workers <= 1 or len(jobs) <= 1:
+    jobs = iter(jobs)
+    ahead = list(itertools.islice(jobs, 2 * workers)) if workers > 1 else []
+    if len(ahead) <= 1:
         _pool_init(ctx)
-        for job in jobs:
+        for job in itertools.chain(ahead, jobs):
             counts += _work(job)
     else:
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs)), initializer=_pool_init, initargs=(ctx,)
+            max_workers=min(workers, len(ahead)), initializer=_pool_init, initargs=(ctx,)
         ) as pool:
-            for part in pool.map(_work, jobs):
-                counts += part
+            flight = collections.deque(pool.submit(_work, job) for job in ahead)
+            while flight:
+                counts += flight.popleft().result()
+                job = next(jobs, None)
+                if job is not None:
+                    flight.append(pool.submit(_work, job))
     checked, errors = counts
     return VerificationReport(
         mode, int(checked.sum()), int(errors.sum()),
@@ -565,7 +577,7 @@ def verify_all(
         )
     if c.n > 64:
         raise CapExceeded("exhaustive enumeration supports n up to 64")
-    jobs = [("rows", None, *ch) for ch in _chunks(2**c.n, DEFAULT_CHUNK)]
+    jobs = (("rows", None, *ch) for ch in _chunks(2**c.n, DEFAULT_CHUNK))
     return _check(c, "exhaustive", jobs, workers)
 
 
@@ -641,17 +653,43 @@ def _below(bits, words: list[int], num: int, den: int) -> bool:
             return False
 
 
-def _binomial_draws(bits, s: int, count: int) -> np.ndarray:
-    """count exact Binomial(s, 1/2) draws, each the least y with
-    V < P(Bin(s, 1/2) <= y) for a uniform V in [0, 1).
+@functools.lru_cache(maxsize=64)
+def _binomial_guide(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """_binomial_floors(s) by a word's top 16 bits, as (lo, mixed).
 
-    A word strictly on one side of a table floor decides its comparison;
-    a word equal to one is settled by _below.
+    Bucket b holds the words b * 2^48 .. (b + 1) * 2^48 - 1.  lo[b] counts
+    the floors below its first word, so it is np.searchsorted(floors, u)
+    for every word u of the bucket unless mixed[b], a floor inside the
+    bucket.  A word equal to a floor lies in a mixed bucket.  lo is uint16
+    when s < 2^16.
     """
     floors = _binomial_floors(s)
-    words = bits.random_raw(count)
-    ys = np.searchsorted(floors, words)
-    for i in np.flatnonzero(floors[np.minimum(ys, s - 1)] == words):
+    below = np.searchsorted(floors, np.arange(1 << 16, dtype=np.uint64) << np.uint64(48))
+    # the floors below the next bucket's first word; all s below 2^64
+    mixed = below != np.append(below[1:], s)
+    lo = below.astype(np.uint16 if s < 1 << 16 else np.uint32)
+    lo.flags.writeable = mixed.flags.writeable = False
+    return lo, mixed
+
+
+def _binomial_draws(bits, s: int, words: np.ndarray) -> np.ndarray:
+    """Exact Binomial(s, 1/2) draws, one per word: the least y with
+    V < P(Bin(s, 1/2) <= y) for a uniform V in [0, 1) whose leading 64
+    bits are the word.
+
+    y is np.searchsorted(floors, word), read off _binomial_guide by the
+    word's top 16 bits; only words in mixed buckets are searched.  A word
+    strictly on one side of a table floor decides its comparison; a word
+    equal to one is settled by _below, drawing further words from bits.
+    """
+    floors = _binomial_floors(s)
+    lo, mixed = _binomial_guide(s)
+    # the last uint16 of each word's little-endian bytes: its top 16 bits
+    top = words.astype("<u8", copy=False).view("<u2")[3::4]
+    ys = lo[top]
+    near = np.flatnonzero(mixed[top])
+    ys[near] = np.searchsorted(floors, words[near])
+    for i in near[floors[np.minimum(ys[near], s - 1)] == words[near]]:
         u, y = int(words[i]), int(ys[i])
         terms, prefix = _binomials(s), [u]
         cdf = sum(terms[: y + 1])
@@ -670,30 +708,45 @@ def _rejection_counts(sizes: np.ndarray, w: int, count: int, bits) -> np.ndarray
     kept when 0 <= b <= s_L and then with probability C(s_L, b) / C(s_L,
     s_L // 2), and rejected rows are drawn again.  A kept row has
     probability proportional to prod_j C(s_j, y_j), the hypergeometric law.
-    Proposals are written into the output rows they may become, one class
-    at a time, so the draw holds the output and O(rows) words besides.
+
+    Each round draws one block of words for the rows still pending, class
+    by class (class-major), and reads each run of equal-sized classes
+    through one _binomial_draws lookup; the words that settle ties come
+    after the block, then the acceptance words.  Only kept rows are written
+    to the output.  A block (8 bytes per pending row and proposal class)
+    is no larger than the output, and its proposals take 2 bytes each
+    while s_L < 2^16.
     """
     big = int(np.argmax(sizes))
     s_big = int(sizes[big])
     others = [(j, s) for j, s in enumerate(sizes.tolist()) if j != big and s]
+    runs, stop = [], 0
+    for s, run in itertools.groupby(s for _, s in others):
+        start, stop = stop, stop + len(list(run))
+        runs.append((start, stop, s))
     acceptance = _acceptance_floors(s_big)
     top = math.comb(s_big, s_big // 2)
     out = np.zeros((count, len(sizes)), dtype=np.int64)
     pending = np.arange(count)
-    while len(pending):
-        rest = np.full(len(pending), w, dtype=np.int64)
-        for j, s in others:
-            ys = _binomial_draws(bits, s, len(pending))
-            out[pending, j] = ys
-            rest -= ys
-        out[pending, big] = rest
+    while m := len(pending):
+        block = bits.random_raw(m * len(others))
+        ys = []
+        for a, b, s in runs:
+            ys.extend(_binomial_draws(bits, s, block[a * m : b * m]).reshape(b - a, m))
+        rest = np.full(m, w, dtype=np.int64)
+        for y in ys:
+            rest -= y
         fits = (rest >= 0) & (rest <= s_big)
         np.clip(rest, 0, s_big, out=rest)
-        words = bits.random_raw(len(pending))
+        words = bits.random_raw(m)
         floors = acceptance[rest]
         keep = fits & (words < floors)
         for i in np.flatnonzero(fits & (words == floors)):
             keep[i] = _below(bits, [int(words[i])], math.comb(s_big, int(rest[i])), top)
+        kept = pending[keep]
+        out[kept, big] = rest[keep]
+        for (j, _), y in zip(others, ys):
+            out[kept, j] = y[keep]
         pending = pending[~keep]
     return out
 
@@ -732,8 +785,9 @@ def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_
     * rejection (_rejection_counts): Binomial(s_j, 1/2) proposals for all
       classes but the largest, L, which takes the rest b; a row is kept with
       probability C(s_L, b) / C(s_L, s_L // 2).  Each proposal costs C - 1
-      table lookups, and A = 2^(n - s_L) C(s_L, s_L // 2) / C(n, w)
-      proposals are expected per row.
+      guide-table lookups, one by the top 16 bits of each word of a
+      block drawn once per round, and A = 2^(n - s_L) C(s_L, s_L // 2) /
+      C(n, w) proposals are expected per row.
     * shuffle: numpy's "count" method, an integer Fisher-Yates over
       min(w, n - w) of the n slots per row (its "marginals" method is
       faster but rests on floating-point hypergeometric draws).
@@ -785,13 +839,13 @@ def verify_minmax(
             )
         if n > 64:
             raise CapExceeded("exact layer enumeration supports n up to 64")
-        jobs = [("rows", w, *ch) for w in layers for ch in _chunks(math.comb(n, w), DEFAULT_CHUNK)]
+        jobs = (("rows", w, *ch) for w in layers for ch in _chunks(math.comb(n, w), DEFAULT_CHUNK))
         return _check(c, "layers", jobs, workers)
     if samples < 1:
         raise ValueError("need at least one sample")
     if seed is None:
         raise ValueError("sampled mode needs a seed")
-    jobs = [("layer", w, *ch) for w in layers for ch in _chunks(samples, DEFAULT_CHUNK)]
+    jobs = (("layer", w, *ch) for w in layers for ch in _chunks(samples, DEFAULT_CHUNK))
     return _check(c, "sample", jobs, workers, seed=seed)
 
 
@@ -813,6 +867,6 @@ def estimate_agreement(
         raise ValueError("need at least one sample")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    jobs = [("uniform", None, *ch) for ch in _chunks(samples, DEFAULT_CHUNK)]
+    jobs = (("uniform", None, *ch) for ch in _chunks(samples, DEFAULT_CHUNK))
     half = math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
     return _check(c, "sample", jobs, workers, seed=seed, ci_halfwidth=half)

@@ -1,6 +1,8 @@
 """Exhaustive and sampled correctness checks against the majority function."""
 
+import collections
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -287,6 +289,45 @@ def test_verify_all_worker_count_does_not_change_the_report():
         assert verify_all(c, workers=2).to_json() == base
 
 
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each job when its result
+    is read and records the most jobs submitted and not yet read."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.open = self.most = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        self.open += 1
+        self.most = max(self.most, self.open)
+        return mock.Mock(result=lambda: self._read(fn, job))
+
+    def _read(self, fn, job):
+        self.open -= 1
+        return fn(job)
+
+
+def test_check_keeps_two_jobs_per_worker_in_flight(monkeypatch):
+    pools = []
+
+    def pool(**kwargs):
+        pools.append(InlinePool(**kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
+    c = published_circuit("n7")
+    base = verify_all(c).to_json()
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 5):  # 26 jobs
+        assert verify_all(c, workers=3).to_json() == base
+    assert len(pools) == 1 and pools[0].most == 6 and pools[0].open == 0
+
+
 # -- rank-range enumeration ---------------------------------------------------
 
 
@@ -343,7 +384,7 @@ def test_rows_layer_counts():
     assert all(sum(r) == 4 for r in rows)
     assert _rows(4, 0, 0, math.comb(4, 0)).tolist() == [[0, 0, 0, 0]]
     # a layer above n is empty: no chunks, no rows
-    assert _chunks(math.comb(3, 5), 8) == []
+    assert list(_chunks(math.comb(3, 5), 8)) == []
     assert _rows(3, 5, 0, 0).shape == (0, 3)
 
 
@@ -378,11 +419,23 @@ def test_rows_agree_with_colex_unrank_up_to_n64():
 def test_chunks_tile_a_layer_once():
     n, w = 11, 5
     total = math.comb(n, w)
-    chunks = _chunks(total, 37)
+    chunks = list(_chunks(total, 37))
     assert [index for index, _, _ in chunks] == list(range(len(chunks)))
     assert all(hi - lo == 37 for _, lo, hi in chunks[:-1])
     tiled = np.concatenate([_rows(n, w, lo, hi) for _, lo, hi in chunks])
     assert [tuple(r) for r in tiled.tolist()] == layer_rows(n, w)
+
+
+def test_chunks_are_made_lazily():
+    # 2^17 chunks of the 2^30 inputs of n=30, read one at a time
+    tracemalloc.start()
+    try:
+        last = collections.deque(_chunks(2**30, 8192), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(last) == [(2**17 - 1, 2**30 - 8192, 2**30)]
+    assert peak < 2**20
 
 
 def test_sample_layer_shapes_and_weights():
@@ -1008,7 +1061,66 @@ def test_binomial_draw_shares_one_continuation_across_tied_floors(continuation, 
     v = Fraction(continuation, 2**128)
     cdf = itertools.accumulate(math.comb(100, x) for x in range(101))
     assert y == sum(v >= Fraction(c, 2**100) for c in cdf)
-    assert verify._binomial_draws(ScriptedBits([0, continuation]), 100, 1).tolist() == [y]
+    words = np.array([0], dtype=np.uint64)
+    assert verify._binomial_draws(ScriptedBits([continuation]), 100, words).tolist() == [y]
+
+
+GUIDE_SIZES = (1, 2, 7, 100, 255, 256, 300, 4097)
+
+
+def guide_words(floors):
+    """Every floor - 1, floor and floor + 1, modulo 2^64, and the first and
+    last word of every top-16-bit bucket, as sorted distinct uint64."""
+    starts = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+    one = np.uint64(1)
+    words = [floors - one, floors, floors + one, starts, starts + np.uint64(2**48 - 1)]
+    return np.unique(np.concatenate(words))
+
+
+def assert_guide_matches_search(floors, lo, mixed):
+    words = guide_words(floors)
+    bucket = (words >> np.uint64(48)).astype(np.intp)
+    settled = ~mixed[bucket]
+    assert (lo[bucket[settled]] == np.searchsorted(floors, words[settled])).all()
+    # a word equal to a floor must reach the search and the tie check
+    assert mixed[(floors >> np.uint64(48)).astype(np.intp)].all()
+
+
+@pytest.mark.parametrize("s", GUIDE_SIZES)
+def test_binomial_guide_lookup_equals_searchsorted(s):
+    floors = verify._binomial_floors(s)
+    lo, mixed = verify._binomial_guide(s)
+    assert lo.dtype == np.uint16 and lo.shape == mixed.shape == (2**16,)
+    assert_guide_matches_search(floors, lo, mixed)
+    # the draw itself: words off every floor need no further word
+    words = guide_words(floors)
+    words = words[~np.isin(words, floors)]
+    ys = verify._binomial_draws(ScriptedBits([]), s, words)
+    assert (ys == np.searchsorted(floors, words)).all()
+
+
+def test_binomial_guide_marks_floors_on_a_bucket_edge(monkeypatch):
+    # floors on the first and last words of buckets.  In the binomial
+    # tables only 2^64 - 1 is a bucket's last word, and other floors mark
+    # its bucket mixed anyway, so only a made-up table shows whether a
+    # bucket's own last word is counted in it.
+    floors = np.array([2**48 - 1, 2**48, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    monkeypatch.setattr(verify, "_binomial_floors", lambda s: floors)
+    lo, mixed = verify._binomial_guide.__wrapped__(len(floors))  # uncached
+    assert_guide_matches_search(floors, lo, mixed)
+    assert np.flatnonzero(mixed).tolist() == [0, 1, 2**15 - 1, 2**15, 2**16 - 1]
+
+
+def test_rejection_round_settles_ties_after_its_block():
+    # classes of 100, 100 and 300 (the largest, L): one round draws the
+    # block [0, 2^63], one word per proposal class.  Word 0 ties the zero
+    # floors of Bin(100, 1/2); its continuation 2^40 comes after the block
+    # and gives y = 2.  P(Bin(100, 1/2) <= 49) < 1/2 < P(<= 50), so 2^63
+    # gives y = 50 with no tie.  b = 202 - 52 = 150 = s_L // 2 is kept by
+    # any acceptance word below 2^64 - 1.
+    sizes = np.array([100, 100, 300])
+    words = [0, 2**63, 2**40, 0]
+    assert verify._rejection_counts(sizes, 202, 1, ScriptedBits(words)).tolist() == [[2, 50, 150]]
 
 
 def test_probability_tables_are_exact_floors():
@@ -1068,6 +1180,65 @@ def test_non_compressing_circuits_keep_their_draws():
             assert got == PINNED_REPORTS[f"minmax-{name}"]
             got = estimate_agreement(c, 3000, 5).to_json()
             assert got == PINNED_REPORTS[f"agree-{name}"]
+
+
+def uneven_block_circuit(sizes):
+    """Thresholds s // 2 and s // 2 + 1 on each block of the given sizes,
+    pooled by a top gate that needs as many firing gates as blocks."""
+    gates, start = [], 0
+    for s in sizes:
+        first = ThresholdGate(tuple((v, 1) for v in range(start, start + s)), s // 2)
+        gates += [first, ThresholdGate(first.inputs, s // 2 + 1)]
+        start += s
+    top = ThresholdGate(tuple((g, 1) for g in range(len(gates))), len(sizes))
+    return LayeredCircuit(n=start, k=max(*sizes, len(gates)), layers=(tuple(gates), (top,)), top=0)
+
+
+# Sampled reports of circuits whose classes compress, all on the rejection
+# class draw, with the sha256 of the class counts their chunks draw, as
+# computed before the guide-table lookup: block and depth-3 reports have no
+# errors, so only the digest shows a changed draw.  The uneven layout's
+# proposal classes are 60, 40, 60 and 20 (100 takes the rest).
+PINNED_CLASS_DRAWS = {
+    "block4096": (
+        '{"mode": "sample", "total_checked": 6000, "errors": 0, "agreement": "1", '
+        '"checked_by_weight": {"2047": 3000, "2048": 3000}, "errors_by_weight": {}, "seed": 5}',
+        "b425e99026eff82f3a4f0cc0eb4ed6084543f38ef29c0264d3d51b9ee13d3916",
+    ),
+    "depth3-b3": (
+        '{"mode": "sample", "total_checked": 6000, "errors": 0, "agreement": "1", '
+        '"checked_by_weight": {"26": 3000, "27": 3000}, "errors_by_weight": {}, "seed": 5}',
+        "03dea70ccd7af454c976cea4e5665fdef8b6a3b97bdb32405d9207afa78be549",
+    ),
+    "uneven": (
+        '{"mode": "sample", "total_checked": 6000, "errors": 2752, "agreement": "203/375", '
+        '"checked_by_weight": {"139": 3000, "140": 3000}, '
+        '"errors_by_weight": {"139": 1651, "140": 1101}, "seed": 5}',
+        "ca34457fbb292a9c7ace8ab839ef2b8ed397609caff13d5805d37d73f9598498",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLASS_DRAWS))
+def test_compressing_circuits_keep_their_draws(name):
+    c = {
+        "block4096": lambda: build_block_circuit(default_block_params(4096)),
+        "depth3-b3": lambda: build_depth3(Depth3Params(3)),
+        "uneven": lambda: uneven_block_circuit((60, 40, 60, 20, 100)),
+    }[name]()
+    report, digest = PINNED_CLASS_DRAWS[name]
+    sizes = compile_circuit(c).sizes
+    w = majority_threshold(c.n)
+    assert all(verify._rejection_pays(sizes, layer) for layer in (w, w - 1))
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 1000):
+        assert verify_minmax(c, samples=3000, seed=5).to_json() == report
+        assert verify_minmax(c, samples=3000, seed=5, workers=2).to_json() == report
+    draws = [
+        sample_class_counts(sizes, layer, hi - lo, 5, index)
+        for layer in (w, w - 1)
+        for index, lo, hi in _chunks(3000, 1000)
+    ]
+    assert hashlib.sha256(np.concatenate(draws).tobytes()).hexdigest() == digest
 
 
 # -- random-input agreement --------------------------------------------------
