@@ -743,10 +743,11 @@ def _rejection_counts(sizes: np.ndarray, w: int, count: int, bits) -> np.ndarray
         keep = fits & (words < floors)
         for i in np.flatnonzero(fits & (words == floors)):
             keep[i] = _below(bits, [int(words[i])], math.comb(s_big, int(rest[i])), top)
-        kept = pending[keep]
-        out[kept, big] = rest[keep]
+        at = np.flatnonzero(keep)
+        kept = pending[at]
+        out[kept, big] = rest[at]
         for (j, _), y in zip(others, ys):
-            out[kept, j] = y[keep]
+            out[kept, j] = y[at]
         pending = pending[~keep]
     return out
 
