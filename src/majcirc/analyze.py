@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -351,24 +352,11 @@ def kill_cost(gate: ThresholdGate) -> KillCost:
     the pinned ones alone must reach theta against all-zero survivors;
     again heaviest first reaches it with the fewest pins.
     """
-    weights = sorted((w for _, w in gate.inputs), reverse=True)
-    total = sum(weights)
-    if gate.theta <= 0:
-        zeros: int | float = math.inf
-    else:
-        zeros, running = 0, total
-        while running >= gate.theta:
-            running -= weights[zeros]
-            zeros += 1
-    if gate.theta <= 0:
-        ones: int | float = 0
-    elif gate.theta > total:
-        ones = math.inf
-    else:
-        ones, running = 0, 0
-        while running < gate.theta:
-            running += weights[ones]
-            ones += 1
+    # pre[j]: the weight of the j heaviest inputs
+    pre = [0, *accumulate(sorted(gate.weights, reverse=True))]
+    total, theta = pre[-1], gate.theta
+    zeros = bisect_right(pre, total - theta) if theta > 0 else math.inf
+    ones = bisect_left(pre, theta) if theta <= total else math.inf
     return KillCost(zeros, ones)
 
 

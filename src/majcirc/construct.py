@@ -13,8 +13,8 @@ circuits:
 * depth-3 circuits: block circuits whose middle layer re-blocks the sorted
   outputs with a stride, cutting the top fan-in to O(n^(1/3) log n) gates.
 
-All builders return LayeredCircuit values whose declared fan-in bound k is
-tight for the family.
+All builders return LayeredCircuit values through core.with_top, so the
+declared fan-in bound k is the largest fan-in of any gate.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
     eval_layers,
     majority_gate,
     majority_gate_over_vars,
-    standard_theta,
+    with_top,
 )
 from ._rand import philox
 
@@ -74,8 +74,7 @@ def build_correlation(params: CorrelationParams) -> LayeredCircuit:
         rng = philox(params.seed, "correlation", n, k, i)
         subset = sorted(rng.permutation(n)[:k].tolist())
         bottom.append(majority_gate(subset))
-    top = majority_gate(range(k))
-    return LayeredCircuit(n=n, k=k, layers=(tuple(bottom), (top,)), top=0)
+    return with_top(n, [bottom])
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,7 @@ def build_block_circuit(params: BlockParams) -> LayeredCircuit:
     bottom = []
     for b in range(n // p):
         bottom += _threshold_run(range(b * p, (b + 1) * p), ms)
-    theta_top = (n + 1) // 2 - (n // p) * (ms.start - 1)
-    top = ThresholdGate(tuple((g, 1) for g in range(len(bottom))), theta_top)
-    k = max(p, len(bottom))
-    return LayeredCircuit(n=n, k=k, layers=(tuple(bottom), (top,)), top=0)
+    return with_top(n, [bottom], (n + 1) // 2 - (n // p) * (ms.start - 1))
 
 
 def block_window(p: int, alpha: float = DEFAULT_ALPHA) -> int:
@@ -238,17 +234,13 @@ def build_depth3(params: Depth3Params) -> LayeredCircuit:
     majority of the materialized outputs instead miscounts by floor(b/2) and
     fails on every input of weight n/2 - 1 once b >= 2.
     """
-    b, n, p = params.b, params.n, params.p
+    b, p = params.b, params.p
     layer1, layer2 = [], []
     for blk in range(b):
         layer1 += _threshold_run(range(blk * p, (blk + 1) * p), range(1, p + 1))
     for y in depth3_y_blocks(params):
         layer2 += _threshold_run(y, middle_window(params))
-    top = ThresholdGate(tuple((g, 1) for g in range(len(layer2))), b * b + b)
-    k = max(p, len(layer2))
-    return LayeredCircuit(
-        n=n, k=k, layers=(tuple(layer1), tuple(layer2), (top,)), top=0
-    )
+    return with_top(params.n, [layer1, layer2], b * b + b)
 
 
 # middle_window_weights runs once per input: build each circuit once
@@ -335,10 +327,7 @@ def published_circuit(tag: str) -> LayeredCircuit:
     if tag not in _PUBLISHED_ROWS:
         raise ValueError(f"unknown circuit tag {tag!r}; known: {', '.join(PUBLISHED_TAGS)}")
     n, rows = _PUBLISHED_ROWS[tag]
-    bottom = tuple(majority_gate_over_vars(row) for row in rows)
-    top = majority_gate(range(len(bottom)))
-    k = max(len(rows[0]), len(bottom))
-    return LayeredCircuit(n=n, k=k, layers=(bottom, (top,)), top=0)
+    return with_top(n, [[majority_gate_over_vars(row) for row in rows]])
 
 
 def omission_circuit(n: int, omitted_pairs: list[tuple[int, int]]) -> LayeredCircuit:
@@ -354,10 +343,7 @@ def omission_circuit(n: int, omitted_pairs: list[tuple[int, int]]) -> LayeredCir
             raise ValueError(f"bad omitted pair ({i}, {j})")
         keep = [v for v in range(1, n + 1) if v != i and v != j]
         bottom.append(majority_gate_over_vars(keep))
-    top = majority_gate(range(len(bottom)))
-    return LayeredCircuit(
-        n=n, k=max(n - 2, len(bottom)), layers=(tuple(bottom), (top,)), top=0
-    )
+    return with_top(n, [bottom])
 
 
 def random_omission_pairs(n: int, seed: int) -> list[tuple[int, int]]:

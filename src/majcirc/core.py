@@ -12,11 +12,12 @@ numbers in the public API and in the text format are 1-based, matching the
 usual x1..xn naming.
 
 Shared supports.  A gate's inputs are checked once and stored as a sorted
-tuple of a private type; a gate given such a tuple keeps it without a
-second check.  So gates that read one support (a block circuit has n/p
-distinct layer-1 supports among its thousands of gates) share one inputs
-object, and loading, checking and serializing a circuit cost work per
-distinct support, not per gate.
+tuple of a private type, which the check also gives the support's fan-in
+and largest weight; a gate given such a tuple keeps it without a second
+check.  So gates that read one support (a block circuit has n/p distinct
+layer-1 supports among its thousands of gates) share one inputs object,
+loading, checking and serializing a circuit cost work per distinct
+support, not per gate, and fan-in bounds are read, never recomputed.
 """
 
 from __future__ import annotations
@@ -53,13 +54,15 @@ def majority_threshold(n: int) -> int:
 
 class _CheckedInputs(tuple):
     """Gate inputs that passed ThresholdGate's check: sorted (position,
-    weight) pairs of ints, positions distinct and >= 0, weights >= 1.
+    weight) pairs of ints, positions distinct and >= 0, weights >= 1, with
+    their sum ``fanin`` and their largest weight ``max_weight``.
 
     Only that check makes one, so a gate given one skips the check and
     shares the object with the gate it came from.
     """
 
-    __slots__ = ()
+    fanin: int
+    max_weight: int
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ class ThresholdGate:
             if not pairs:
                 raise CircuitError("gate has no inputs")
             seen = set()
+            fanin = max_weight = 0
             for p, w in pairs:
                 if p < 0:
                     raise CircuitError(f"negative input position {p}")
@@ -94,13 +98,18 @@ class ThresholdGate:
                 seen.add(p)
                 if w < 1:
                     raise CircuitError(f"non-positive weight {w} on position {p}")
-            object.__setattr__(self, "inputs", _CheckedInputs(pairs))
+                fanin += w
+                if w > max_weight:
+                    max_weight = w
+            checked = _CheckedInputs(pairs)
+            checked.fanin, checked.max_weight = fanin, max_weight
+            object.__setattr__(self, "inputs", checked)
         object.__setattr__(self, "theta", int(self.theta))
 
     @property
     def fanin(self) -> int:
         """Total fan-in counting weights (a weight-w wire counts w times)."""
-        return sum(w for _, w in self.inputs)
+        return self.inputs.fanin
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -112,7 +121,7 @@ class ThresholdGate:
 
     @property
     def max_weight(self) -> int:
-        return max(w for _, w in self.inputs)
+        return self.inputs.max_weight
 
     def is_standard(self) -> bool:
         return self.theta == standard_theta(self.fanin)
@@ -231,23 +240,17 @@ class LayeredCircuit:
         for d, layer in enumerate(layers, start=1):
             if not layer:
                 raise CircuitError(f"layer {d} is empty")
-            passed: set[int] = set()  # ids of inputs objects checked here
             for g, gate in enumerate(layer):
-                inputs = gate.inputs
-                if id(inputs) in passed:
-                    continue
-                fanin = sum(w for _, w in inputs)
-                if fanin > self.k:
+                if gate.fanin > self.k:
                     raise CircuitError(
-                        f"gate {d}:{g} fan-in {fanin} exceeds bound k={self.k}"
+                        f"gate {d}:{g} fan-in {gate.fanin} exceeds bound k={self.k}"
                     )
-                hi = inputs[-1][0]  # inputs are sorted by position
+                hi = gate.inputs[-1][0]  # inputs are sorted by position
                 if hi >= width_below:
                     raise CircuitError(
                         f"gate {d}:{g} references position {hi} but layer below "
                         f"has width {width_below}"
                     )
-                passed.add(id(inputs))
             width_below = len(layer)
         if not 0 <= self.top < len(layers[-1]):
             raise CircuitError(f"top index {self.top} out of range for last layer")
@@ -268,6 +271,20 @@ class LayeredCircuit:
                 yield d, g, gate
 
 
+def with_top(
+    n: int, layers: Sequence[Sequence[ThresholdGate]], theta: int | None = None
+) -> LayeredCircuit:
+    """The layers under one top gate that reads each gate of the last layer
+    once, at theta, or at the standard majority threshold when theta is
+    None.  k is the largest fan-in of any gate."""
+    width = len(layers[-1])
+    if theta is None:
+        theta = standard_theta(width)
+    layers = (*map(tuple, layers), (ThresholdGate(tuple((g, 1) for g in range(width)), theta),))
+    k = max(g.fanin for layer in layers for g in layer)
+    return LayeredCircuit(n=n, k=k, layers=layers, top=0)
+
+
 @dataclass(frozen=True)
 class CircuitStats:
     n: int
@@ -280,24 +297,15 @@ class CircuitStats:
 
 
 def inspect_circuit(c: LayeredCircuit) -> CircuitStats:
-    fanins: dict[int, int] = {}  # per distinct inputs object
-    max_fanin = max_weight = 0
-    all_standard = True
-    for _, _, g in c.gates():
-        fanin = fanins.get(id(g.inputs))
-        if fanin is None:
-            fanin = fanins[id(g.inputs)] = g.fanin
-            max_fanin = max(max_fanin, fanin)
-            max_weight = max(max_weight, g.max_weight)
-        all_standard = all_standard and g.theta == standard_theta(fanin)
+    gates = [g for _, _, g in c.gates()]
     return CircuitStats(
         n=c.n,
         k=c.k,
         depth=c.depth,
-        gate_count=sum(len(layer) for layer in c.layers),
-        max_fanin=max_fanin,
-        max_weight=max_weight,
-        all_standard=all_standard,
+        gate_count=len(gates),
+        max_fanin=max(g.fanin for g in gates),
+        max_weight=max(g.max_weight for g in gates),
+        all_standard=all(g.is_standard() for g in gates),
     )
 
 

@@ -52,9 +52,9 @@ from .core import (
     Assignment,
     LayeredCircuit,
     ThresholdGate,
-    majority_gate,
     majority_threshold,
     standard_theta,
+    with_top,
 )
 from .verify import verify_all
 
@@ -666,8 +666,7 @@ def decode(instance: CnfInstance, model: Iterable[int]) -> LayeredCircuit:
                 raise ModelError(f"gate {g} decodes to threshold {theta}")
         rows.append(ThresholdGate(tuple(inputs), theta))
 
-    top = majority_gate(range(k))
-    circuit = LayeredCircuit(n=n, k=k, layers=(tuple(rows), (top,)), top=0)
+    circuit = with_top(n, [rows])
     report = verify_all(circuit)
     if report.errors:
         raise EncoderBug(
@@ -744,7 +743,8 @@ def exhaustive_search(
     A node tests its children only on the critical inputs that one more
     gate decides: the minterms one short of the threshold after the free
     gates, on which a child must fire, and the maxterms one short of it,
-    on which it must stay silent; a minterm two short ends the node.  All
+    on which it must stay silent.  No minterm is ever two short: none is
+    at the root, and a child fires on every minterm one short.  All
     children are tested at once, and the survivors are entered in
     increasing candidate order, so the search visits nodes in the same
     order as testing one child at a time.  The first complete candidate
@@ -788,13 +788,11 @@ def exhaustive_search(
                 ThresholdGate(tuple((i, m) for i, m in enumerate(cands[c][0]) if m), cands[c][1])
                 for c in chosen
             )
-            circuit = LayeredCircuit(n=n, k=k, layers=(gates, (majority_gate(range(k)),)), top=0)
+            circuit = with_top(n, [gates])
             return circuit if verify_all(circuit).errors == 0 else None
         # how far each minterm stays from theta if the k - depth - 1 gates
         # after the child all fire
         short = theta - (k - depth - 1) - mins
-        if short.max() > 1:
-            return None
         ok = fires_min[short == 1, start:].all(axis=0)
         ok &= ~fires_max[maxs == theta - 1, start:].any(axis=0)
         for c in (np.flatnonzero(ok) + start).tolist():
@@ -882,7 +880,7 @@ def _fooling_preconditions(c: LayeredCircuit) -> list[tuple[int, int]]:
         )
     pairs = []
     for idx, gate in enumerate(bottom):
-        if any(w != 1 for _, w in gate.inputs):
+        if gate.fanin != len(gate.inputs):
             raise ValueError(f"repeated variable in bottom gate {idx}")
         if len(gate.inputs) != k:
             raise ValueError(

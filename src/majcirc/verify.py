@@ -248,14 +248,12 @@ def _compile_layer(
     sigs = list(columns)
     lengths = np.fromiter(map(len, sigs), dtype=np.intp, count=len(sigs))
     flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(sigs)))
-    # weights stay Python integers until the largest fan-in picks the dtype
-    weights = np.array(flat[1::2], dtype=object)
-    fanins = np.add.reduceat(weights, np.cumsum(lengths) - lengths).tolist()
+    fanins = [sig.fanin for sig in sigs]
     top = max(fanins)
     dtype = _arithmetic(top + 1)
     entries = (
         np.array(flat[0::2], dtype=np.intp),
-        weights.astype(dtype),
+        np.array(flat[1::2], dtype=dtype),
         np.repeat(np.arange(len(sigs)), lengths),
     )
     theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)

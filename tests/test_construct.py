@@ -38,6 +38,7 @@ from majcirc.core import (
     parse_circuit,
     serialize_circuit,
 )
+from majcirc.search import SearchSpaceSpec, exhaustive_search
 from majcirc.verify import sample_layer_chunk, truth_table, verify_all
 
 
@@ -452,6 +453,99 @@ def test_builder_text_bytes_are_pinned(build, digest):
     order and their thresholds stay fixed across rewrites of the builders."""
     text = serialize_circuit(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# every assembler that goes through core.with_top, with the sha256 of its
+# circuit's text followed by repr(inspect_circuit(...)), computed before
+# the builders shared with_top
+PINNED_BUILDS = {
+    "correlation_41": (
+        lambda: build_correlation(CorrelationParams(41, 13, seed=2)),
+        "e293abff603cde453054b5853ed03defa72b73576c9d86036724c58856d613dc"),
+    "correlation_1001": (
+        lambda: build_correlation(CorrelationParams(1001, 256, seed=3)),
+        "85e80ed52b21b57b88b0cf795d6a261322e3a62f778bbcbf51470c6a8f008d72"),
+    "block_4096": (
+        lambda: build_block_circuit(default_block_params(4096)),
+        "9ddf7eac79fa2ced995e0d2643172fab961884760d965151aa0c08868f02d5b5"),
+    "block_25_5_5": (
+        lambda: build_block_circuit(BlockParams(25, 5, 5)),
+        "4c3715d8615f0846101f9ee66eacbc59c88f20b9b5829532d47b0e0b0b7fefbc"),
+    "block_64_8_2": (
+        lambda: build_block_circuit(BlockParams(64, 8, 2)),
+        "87085683e76d25885badebdbb9d97ccfda1103565d4d0f8dcd929d05c4705a00"),
+    # one block of 64 under a top gate of 3: k is the bottom fan-in
+    "block_64_64_2": (
+        lambda: build_block_circuit(BlockParams(64, 64, 2)),
+        "684b555b13dc694b6b7e6c12b8fa559632782d2a0dc366dcd2294aad3c8a229a"),
+    "depth3_b2": (
+        lambda: build_depth3(Depth3Params(2)),
+        "d165cc0b80c8d0e4646e1d99b3029640e080c2b946af026e2a9f8eaed6c3bd10"),
+    "depth3_b3": (
+        lambda: build_depth3(Depth3Params(3)),
+        "9446a9186ed3817da901d00d68aa5f5f9aca904e352796eccc19979645c52435"),
+    "published_intro7": (
+        lambda: published_circuit("intro7"),
+        "d1b7da6b3ddb69c623144ce383bf5a85b2aea8043f57470d9b10f2b2764cdfc2"),
+    "published_n7": (
+        lambda: published_circuit("n7"),
+        "de487beec3ebecdcddb72bd1644cd33c27967a2c621d90ebb886c97056d67ac5"),
+    "published_n9": (
+        lambda: published_circuit("n9"),
+        "f8f55df7da5d21c866f88e3c1ff737d5d255a099a668c885a5de1af29ef46e92"),
+    "published_n11": (
+        lambda: published_circuit("n11"),
+        "546c44ba6662cb09d2dfe746078f5d4da34fcf6f7ea70bebe2ad40f59faad408"),
+    "omission_9": (
+        lambda: omission_circuit(9, random_omission_pairs(9, seed=1)),
+        "e8fc9912123447e4fd0d0d241abf35af8641b926764206c46a580687a8c7ab6a"),
+    "omission_15": (
+        lambda: omission_circuit(15, random_omission_pairs(15, seed=1)),
+        "3bd5a50d0511a3c310eeb1a6e12e2d04f7808683accb0231f3ae396a21e1bb2b"),
+    # two gates of fan-in 7: k is the bottom fan-in
+    "omission_9_two_gates": (
+        lambda: omission_circuit(9, [(1, 2), (3, 4)]),
+        "3f960c99f6d927d9d3c35f595cafd4b39f2b5d6f2d41cd31e444b963b74ce20f"),
+    "exhaustive_3_3_1_std": (
+        lambda: exhaustive_search(SearchSpaceSpec(3, 3, 1, True)),
+        "d4e3489f64dbb06bc6ab329306951e0fffafa2d59fbe04b52a67ec4a0e58c1a9"),
+    "exhaustive_3_3_2_full": (
+        lambda: exhaustive_search(SearchSpaceSpec(3, 3, 2, False)),
+        "95bb0fd9001a9bd2e44ec1b392e2541057121bb44587d2f4b49db3fa1e5ade24"),
+    "exhaustive_4_4_2_std": (
+        lambda: exhaustive_search(SearchSpaceSpec(4, 4, 2, True)),
+        "c5185e69b5d0dd7e23968bcd772d7d9335ba3bfcdd83be2bc82ccc04283f07bb"),
+    "exhaustive_4_3_2_full": (
+        lambda: exhaustive_search(SearchSpaceSpec(4, 3, 2, False)),
+        "71689fb7673f466f422b1991a676272aeb5db0d835760e74ecff9cb9780aaaeb"),
+    "exhaustive_5_5_1_std": (
+        lambda: exhaustive_search(SearchSpaceSpec(5, 5, 1, True)),
+        "76a8cb55c31916dc5f0e5776e2d5bc9f6a4f2a4bcebd9e7c572faa3fb7230274"),
+    "exhaustive_5_5_2_std": (
+        lambda: exhaustive_search(SearchSpaceSpec(5, 5, 2, True)),
+        "1a303268d24a84b73c69e335c81d83d6ec927a3bee3922ba1552ea847fb47e14"),
+    "exhaustive_5_4_2_full": (
+        lambda: exhaustive_search(SearchSpaceSpec(5, 4, 2, False)),
+        "d8b310c90171edf21a8eaf0f27f5399634c3abf0670ca4302fe73f210b921c3d"),
+    "exhaustive_5_5_1_full": (
+        lambda: exhaustive_search(SearchSpaceSpec(5, 5, 1, False)),
+        "230ceb6f958d56d488c9a43e218cdc4e09943f2174f72e0b60889005c76bce47"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BUILDS)
+def test_builder_bytes_and_stats_are_pinned(name):
+    build, digest = PINNED_BUILDS[name]
+    c = build()
+    text = serialize_circuit(c) + repr(inspect_circuit(c))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", PINNED_BUILDS)
+def test_declared_k_is_the_largest_fanin(name):
+    c = PINNED_BUILDS[name][0]()
+    assert c.k == inspect_circuit(c).max_fanin
+    assert c.k == max(sum(g.weights) for _, _, g in c.gates())
 
 
 def distinct_inputs(layer) -> int:

@@ -1,6 +1,8 @@
 """Gate evaluation, circuit evaluation, and the text format."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 from typing import Callable
 
@@ -29,6 +31,7 @@ from majcirc.core import (
     parse_circuit,
     serialize_circuit,
     standard_theta,
+    with_top,
 )
 from majcirc.construct import (
     Depth3Params,
@@ -236,6 +239,43 @@ def test_gate_properties():
     assert g.max_weight == 2
     assert g.theta == 2
     assert g.is_standard()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 50),
+        st.one_of(st.integers(1, 9), st.integers(2**63 - 2, 2**66)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(-3, 40),
+)
+def test_recorded_fanin_and_max_weight_match_the_weights(by_position, theta):
+    """The check records the sum and the largest of the weights, also past
+    int64, and the record travels with the inputs object: to a gate that
+    shares it, through pickle and through deepcopy."""
+    g = ThresholdGate(tuple(by_position.items())[::-1], theta)
+    weights = list(by_position.values())
+    shared = ThresholdGate(g.inputs, theta + 1)
+    assert shared.inputs is g.inputs
+    for h in (g, shared, pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert h.fanin == sum(weights) == sum(h.weights)
+        assert h.max_weight == max(weights) == max(h.weights)
+        assert h.is_standard() == (h.theta == standard_theta(sum(weights)))
+    # one pickle keeps two gates on one inputs object sharing it
+    a, b = pickle.loads(pickle.dumps((g, shared)))
+    assert a.inputs is b.inputs and b.fanin == g.fanin
+
+
+@pytest.mark.parametrize("theta, top_theta", [(None, 2), (3, 3), (-1, -1)])
+def test_with_top_reads_the_last_layer_once(theta, top_theta):
+    wide = ThresholdGate(((0, 2), (1, 1), (2, 1), (3, 1)), 3)
+    c = with_top(4, [[wide, majority_gate([0]), majority_gate([1, 2])]], theta)
+    assert c.depth == 2 and c.top == 0
+    assert c.top_gate == ThresholdGate(((0, 1), (1, 1), (2, 1)), top_theta)
+    # k is the widest gate anywhere, here in layer 1
+    assert c.k == 5 == inspect_circuit(c).max_fanin
 
 
 # -- circuit evaluation ------------------------------------------------------
