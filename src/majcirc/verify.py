@@ -10,10 +10,11 @@ Three regimes:
 * estimate_agreement: i.i.d. uniform inputs, with a distribution-free
   confidence half-width for the agreement rate.
 
-Every verify_* call compiles its circuit once (compile_circuit) into a Plan
-that each worker receives once.  Per layer the Plan holds the distinct
-weighted supports (one dense weight matrix or one gather per support), each
-gate's support column and threshold, and the arithmetic: float32 when it
+Every verify_* call takes a circuit, which it compiles once
+(compile_circuit), or the Plan compiled from it; each worker receives the
+Plan once.  Per layer the Plan holds the distinct weighted supports (one
+dense weight matrix or one gather per support), each gate's support
+column and threshold, and the arithmetic: float32 when it
 holds every value the layer compares (all circuits the package builds),
 else int64, else Python integers, so every sum is exact.  A float32 matrix
 packs several sums into each column.  Every sum is below B = 2^bitlen(F),
@@ -26,9 +27,12 @@ power of two B split off the digits.  int64 and object matrices hold one
 sum per column.  A layer whose gates share supports (block and depth-3
 circuits put many thresholds on one block sum) hands up its support sums,
 not one 0/1 column per gate: the layer above reads each of them through a
-step table, its gates' sorted thresholds and cumulative weights looked
-up by binary search, and only the top gate compares a sum with a
-threshold.  Layers whose gates each have a support of their own
+step table indexed by the sum itself, whose entry for a sum is the
+weight of the gates on it that the sum reaches, and only the top gate
+compares a sum with a threshold.  Where a table would be longer than
+DEFAULT_CHUNK entries (thresholds that far apart need large weights), the
+gates' sorted thresholds and cumulative weights are kept instead, looked
+up by binary search.  Layers whose gates each have a support of their own
 (published, correlation) hand up 0/1 outputs.
 
 Variables whose weight columns into layer 1 are identical form a variable
@@ -55,7 +59,7 @@ returns from the same stream.
 Every check runs through one function, _check, and one chunk worker, _work.
 The entry points only cut their rows into jobs (source, w, index, lo, hi)
 of at most DEFAULT_CHUNK rows, a fixed size, made lazily.  _check compiles
-the circuit once, runs the jobs inline or in a process pool, at most two
+a circuit once, runs the jobs inline or in a process pool, at most two
 per worker in flight, and merges their counts in job order; _work makes a
 chunk's rows as its source says (a rank range of an exhaustive sweep,
 draws from the weight-w layer, or uniform bits), then evaluates and
@@ -137,12 +141,17 @@ class LayerPlan:
     sums of a layer come from what it reads:
 
     * the sums of a layer below with group set: `steps` holds, per support
-      T, one (S, thresholds, cumulative) step table for each support S
-      below that T's gates sit on.  T's sum adds up cumulative[
-      searchsorted(thresholds, sum_S, side="right")], the weights of T's
-      gates on S whose clamped threshold sum_S reaches.  Thresholds are
-      sorted, in the dtype of the layer below; cumulative starts at 0, in
-      this layer's dtype.
+      T, one (S, lo, thresholds, table) step table for each support S
+      below that T's gates sit on.  T's sum adds up the weights of T's
+      gates on S whose clamped threshold sum_S reaches, read from table,
+      which is in this layer's dtype.  Sums and clamped thresholds are
+      nonnegative integers; with thresholds from t_min to t_max, let lo =
+      t_min - 1.  When t_max - lo + 1 <= DEFAULT_CHUNK, table[i] is the
+      weight of the gates whose threshold is at most lo + i, sum_S reads
+      table[clip(sum_S, lo, t_max) - lo], and thresholds is None.
+      Otherwise lo is None, thresholds are sorted, in the dtype of the
+      layer below, table is their cumulative weights from 0, and sum_S
+      reads table[searchsorted(thresholds, sum_S, side="right")].
     * 0/1 outputs, bits or class counts: one product with `matrix` (width
       x h) when it is set, else one gather per `supports` entry (positions
       as a slice or index array, and weights, None when all are 1); steps
@@ -224,7 +233,14 @@ def _step_tables(sigs: list, below: LayerPlan, dtype: np.dtype) -> tuple:
             steps = sorted(by_support[s])
             thresholds = np.array([t for t, _ in steps], dtype=below.dtype)
             cumulative = np.array([0, *itertools.accumulate(w for _, w in steps)], dtype=dtype)
-            parts.append((s, thresholds, cumulative))
+            lo, hi = int(steps[0][0]) - 1, int(steps[-1][0])
+            # a table no longer than a chunk costs less to build than a
+            # chunk of binary searches: their results at every sum lo..hi
+            if hi - lo < DEFAULT_CHUNK:
+                every = np.arange(lo, hi + 1, dtype=below.dtype)
+                parts.append((s, lo, None, cumulative[np.searchsorted(thresholds, every, side="right")]))
+            else:
+                parts.append((s, None, thresholds, cumulative))
         tables.append(tuple(parts))
     return tuple(tables)
 
@@ -314,8 +330,14 @@ def _sums(lp: LayerPlan, rows: np.ndarray) -> np.ndarray:
     if lp.steps is not None:
         sums = np.zeros((rows.shape[0], len(lp.steps)), dtype=lp.dtype)
         for t, parts in enumerate(lp.steps):
-            for s, thresholds, cumulative in parts:
-                sums[:, t] += cumulative[np.searchsorted(thresholds, rows[:, s], side="right")]
+            # one statement per lookup: no index array outlives its part
+            for s, lo, thresholds, table in parts:
+                if thresholds is None:
+                    sums[:, t] += table.take(
+                        (np.clip(rows[:, s], lo, lo + len(table) - 1) - lo).astype(np.intp)
+                    )
+                else:
+                    sums[:, t] += table[np.searchsorted(thresholds, rows[:, s], side="right")]
         return sums
     if lp.matrix is not None:
         # digit i of product column c is sum c + i*h; division by the
@@ -519,23 +541,24 @@ def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check(
-    c: LayeredCircuit,
+    c: LayeredCircuit | Plan,
     mode: str,
     jobs: Iterable[tuple],
     workers: int,
     seed: int | None = None,
     ci_halfwidth: float | None = None,
 ) -> VerificationReport:
-    """Compile c once, run _work on every job and merge the counts, in job
-    order, into one report.
+    """Compile c once unless it is a Plan, run _work on every job and merge
+    the counts, in job order, into one report.
 
     Jobs are read as they are needed: a pool holds at most 2 * workers of
     them in flight, so memory does not grow with their number.  Sampling
     and random generation hold the interpreter lock, so scaling comes from
     processes, not threads.  A single worker, or a single job, runs inline.
     """
-    ctx = {"plan": compile_circuit(c), "seed": seed}
-    counts = np.zeros((2, c.n + 1), dtype=np.int64)
+    plan = c if isinstance(c, Plan) else compile_circuit(c)
+    ctx = {"plan": plan, "seed": seed}
+    counts = np.zeros((2, plan.n + 1), dtype=np.int64)
     jobs = iter(jobs)
     ahead = list(itertools.islice(jobs, 2 * workers)) if workers > 1 else []
     if len(ahead) <= 1:
@@ -562,7 +585,7 @@ def _check(
 
 
 def verify_all(
-    c: LayeredCircuit,
+    c: LayeredCircuit | Plan,
     *,
     workers: int = 1,
     cap: int = EXHAUSTIVE_CAP,
@@ -811,7 +834,7 @@ def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_
 
 
 def verify_minmax(
-    c: LayeredCircuit,
+    c: LayeredCircuit | Plan,
     *,
     samples: int | None = None,
     seed: int | None = None,
@@ -849,7 +872,7 @@ def verify_minmax(
 
 
 def estimate_agreement(
-    c: LayeredCircuit,
+    c: LayeredCircuit | Plan,
     samples: int,
     seed: int,
     *,

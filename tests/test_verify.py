@@ -1,5 +1,6 @@
 """Exhaustive and sampled correctness checks against the majority function."""
 
+import bisect
 import collections
 import dataclasses
 import hashlib
@@ -182,6 +183,82 @@ def shared_support_circuits(draw):
 @given(shared_support_circuits())
 def test_step_tables_match_eval_circuit_in_every_tier(case):
     assert_matches_eval_circuit(*case)
+
+
+def assert_parts_follow_their_definition(c: LayeredCircuit) -> None:
+    """Each step table part, looked up alone through _sums, equals the
+    binary-search definition cumulative[bisect_right(thresholds, x)], over
+    the sorted clamped thresholds of its gates: at 0 and at every sum x from
+    two under the least threshold to two past the largest; or, when it keeps
+    the thresholds, at 0 and at every threshold and its neighbours."""
+    plan = compile_circuit(c)
+    for d, lp in enumerate(plan.layers[1:], start=1):
+        if lp.steps is None:
+            continue
+        below, lower = plan.layers[d - 1], c.layers[d - 1]
+        sigs = list(dict.fromkeys(g.inputs for g in c.layers[d]))
+        for sig, parts in zip(sigs, lp.steps, strict=True):
+            for part in parts:
+                s = part[0]
+                on_s = [(lower[p], w) for p, w in sig if below.group[p] == s]
+                steps = sorted((min(max(g.theta, 0), g.fanin + 1), w) for g, w in on_s)
+                thresholds = [t for t, _ in steps]
+                cumulative = [0, *itertools.accumulate(w for _, w in steps)]
+                if part[2] is None:
+                    xs = sorted({0, *range(max(thresholds[0] - 2, 0), thresholds[-1] + 3)})
+                else:
+                    xs = sorted({0, *(x for t in thresholds for x in (t - 1, t, t + 1) if x >= 0)})
+                rows = np.zeros((len(xs), below.columns), dtype=below.dtype)
+                rows[:, s] = np.array(xs, dtype=below.dtype)
+                got = verify._sums(dataclasses.replace(lp, steps=((part,),)), rows)[:, 0].tolist()
+                expect = [cumulative[bisect.bisect_right(thresholds, x)] for x in xs]
+                assert [int(v) for v in got] == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_support_circuits())
+def test_step_table_lookups_follow_the_binary_search_definition(case):
+    assert_parts_follow_their_definition(case[0])
+
+
+def test_step_tables_index_by_the_sum_up_to_a_chunk_of_entries():
+    # weights 1; weight 8192 with thresholds 1 and 8191, a table of exactly
+    # DEFAULT_CHUNK entries; and thresholds 1 and 8192, one entry more
+    supports = (((0, 1), (1, 1)), ((0, 8192), (1, 1)), ((0, 8192), (1, 2)))
+    bottom = []
+    for inputs, thetas in zip(supports, ((1, 2), (1, 8191), (1, 8192))):
+        first = ThresholdGate(inputs, thetas[0])
+        bottom += [first, ThresholdGate(first.inputs, thetas[1])]
+    top = ThresholdGate(tuple((g, 1) for g in range(6)), 4)
+    c = LayeredCircuit(n=2, k=8194, layers=(tuple(bottom), (top,)), top=0)
+    (a, b, wide), = compile_circuit(c).layers[1].steps
+    assert [(s, lo, len(table)) for s, lo, thresholds, table in (a, b) if thresholds is None] == [
+        (0, 0, 3), (1, 0, verify.DEFAULT_CHUNK)
+    ]
+    assert wide[:2] == (2, None) and wide[2].tolist() == [1, 8192] and wide[3].tolist() == [0, 1, 2]
+    assert_parts_follow_their_definition(c)
+    assert_matches_eval_circuit(c, np.float32)
+
+
+def test_a_table_shifted_by_one_is_caught(monkeypatch):
+    # three thresholds on one sum under a majority of them: majority of three
+    first = ThresholdGate(((0, 1), (1, 1), (2, 1)), 1)
+    bottom = (first, ThresholdGate(first.inputs, 2), ThresholdGate(first.inputs, 3))
+    c = LayeredCircuit(n=3, k=3, layers=(bottom, (majority_gate(range(3)),)), top=0)
+    assert_matches_eval_circuit(c, np.float32)
+    step_tables = verify._step_tables
+
+    def as_if_left(*args):
+        # each table counts the thresholds below the sum, as
+        # searchsorted(..., side="left") would, not those it reaches
+        tables = step_tables(*args)
+        return tuple(tuple((s, lo + 1, None, table) for s, lo, _, table in parts) for parts in tables)
+
+    monkeypatch.setattr(verify, "_step_tables", as_if_left)
+    with pytest.raises(AssertionError):
+        assert_matches_eval_circuit(c, np.float32)
+    with pytest.raises(AssertionError):
+        assert_parts_follow_their_definition(c)
 
 
 def digit_circuit(fanin: int) -> LayeredCircuit:
@@ -581,6 +658,35 @@ def test_verify_minmax_worker_count_does_not_change_the_report():
     assert verify_minmax(c, samples=300, seed=5, workers=4).to_json() == base
 
 
+VERIFY_CALLS = {
+    "all": lambda c, workers: verify_all(c, workers=workers),
+    "layers": lambda c, workers: verify_minmax(c, workers=workers),
+    "sample": lambda c, workers: verify_minmax(c, samples=1200, seed=4, workers=workers),
+    "agreement": lambda c, workers: estimate_agreement(c, 1200, 4, workers=workers),
+}
+
+
+@pytest.mark.parametrize("call", VERIFY_CALLS.values(), ids=VERIFY_CALLS)
+def test_a_circuit_and_its_plan_give_one_report(call):
+    c = build_depth3(Depth3Params(2))
+    plan = compile_circuit(c)
+    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 4096):
+        base = call(c, 1).to_json()
+        assert [call(x, workers).to_json() for x in (c, plan) for workers in (1, 2)] == [base] * 4
+
+
+def test_verify_calls_compile_a_circuit_once_and_a_plan_never():
+    c = build_depth3(Depth3Params(2))
+    plan = compile_circuit(c)
+    with mock.patch("majcirc.verify.compile_circuit", wraps=compile_circuit) as compile_:
+        for call in VERIFY_CALLS.values():
+            call(plan, 1)
+        assert compile_.call_count == 0
+        for call in VERIFY_CALLS.values():
+            call(c, 1)
+        assert compile_.call_args_list == [mock.call(c)] * len(VERIFY_CALLS)
+
+
 # -- shared gate inputs -------------------------------------------------------
 
 
@@ -594,7 +700,7 @@ def unshared(c: LayeredCircuit) -> LayeredCircuit:
 
 def same_plan(x, y) -> bool:
     """Field-by-field equality of plans, arrays compared with their dtypes;
-    step tables are tuples of (support, thresholds, cumulative) entries."""
+    step tables are tuples of (support, lo, thresholds, table) entries."""
     if isinstance(x, np.ndarray):
         return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
     if dataclasses.is_dataclass(x):
@@ -642,6 +748,28 @@ def reference_sum_form(sigs: list, width: int, dtype, top: int) -> dict:
     return {"matrix": None, "base": 0, "supports": tuple(supports)}
 
 
+def reference_step_tables(sigs: list, below, dtype) -> tuple:
+    """Step tables of sigs over the sums of the layer below, entry by entry:
+    per support below, the weight at each sum from one under the least
+    threshold to the largest, or the sorted thresholds and their
+    cumulative weights when that is more than DEFAULT_CHUNK sums."""
+    tables = []
+    for sig in sigs:
+        parts = []
+        for s in sorted({int(below.group[p]) for p, _ in sig}):
+            steps = sorted((int(below.theta[p]), w) for p, w in sig if below.group[p] == s)
+            lo, hi = steps[0][0] - 1, steps[-1][0]
+            if hi - lo < verify.DEFAULT_CHUNK:
+                table = [sum(w for t, w in steps if t <= v) for v in range(lo, hi + 1)]
+                parts.append((s, lo, None, np.array(table, dtype=dtype)))
+            else:
+                thresholds = np.array([t for t, _ in steps], dtype=below.dtype)
+                cumulative = np.array([0, *itertools.accumulate(w for _, w in steps)], dtype=dtype)
+                parts.append((s, None, thresholds, cumulative))
+        tables.append(tuple(parts))
+    return tuple(tables)
+
+
 def reference_compile_layer(gates, width: int, below):
     """compile_circuit's layer, its distinct supports and largest fan-in,
     from per-entry Python loops."""
@@ -653,7 +781,7 @@ def reference_compile_layer(gates, width: int, below):
     theta = np.array([min(max(g.theta, 0), fanins[j] + 1) for g, j in zip(gates, group)], dtype=dtype)
     grouped = None if len(sigs) == len(gates) else np.asarray(group, dtype=np.intp)
     if below is not None and below.group is not None:
-        steps = verify._step_tables(sigs, below, dtype)
+        steps = reference_step_tables(sigs, below, dtype)
         return verify.LayerPlan(dtype, theta, grouped, len(sigs), None, 0, (), steps), sigs, max(fanins)
     form = reference_sum_form(sigs, width, dtype, max(fanins))
     return verify.LayerPlan(dtype, theta, grouped, len(sigs), steps=None, **form), sigs, max(fanins)
@@ -731,10 +859,10 @@ def test_shared_inputs_compile_and_verify_like_unshared_ones(build):
     plan = compile_circuit(c)
     assert same_plan(plan, compile_circuit(alone))
     assert not same_plan(plan, compile_circuit(build_depth3(Depth3Params(2))))
-    # one step moved in the top gate's first table is a different plan
+    # the steps of the top gate's first table moved by one: a different plan
     top = plan.layers[-1]
-    (s, thresholds, cumulative), *rest = top.steps[0]
-    moved = dataclasses.replace(top, steps=(((s, thresholds + 1, cumulative), *rest), *top.steps[1:]))
+    (s, lo, thresholds, table), *rest = top.steps[0]
+    moved = dataclasses.replace(top, steps=(((s, lo + 1, thresholds, table), *rest), *top.steps[1:]))
     assert not same_plan(plan, dataclasses.replace(plan, layers=(*plan.layers[:-1], moved)))
     with mock.patch("majcirc.verify.DEFAULT_CHUNK", 500):
         base = verify_minmax(alone, samples=1500, seed=8).to_json()
@@ -748,14 +876,17 @@ def test_step_tables_follow_the_plan_shape():
         plan = compile_circuit(c)
         assert all(lp.group is None and lp.steps is None for lp in plan.layers)
     # many thresholds per support: every layer above the first reads the
-    # sums below through one step table per pair of supports
+    # sums below through one table indexed by the sum per pair of supports
     block = compile_circuit(build_block_circuit(default_block_params(4096)))
     depth3 = compile_circuit(build_depth3(Depth3Params(3)))
     for plan, pairs in ((block, [16]), (depth3, [9, 3])):
         above = plan.layers[1:]
         assert all(lp.steps is not None and lp.matrix is None and lp.supports == () for lp in above)
         assert [sum(map(len, lp.steps)) for lp in above] == pairs
-    assert sum(len(thresholds) for _, thresholds, _ in block.layers[1].steps[0]) == 1840
+        assert all(thresholds is None for lp in above for parts in lp.steps for _, _, thresholds, _ in parts)
+    # the top gate reads each of the 1840 window gates once: the tables'
+    # totals, at their largest sums, count them
+    assert sum(table[-1] for _, _, _, table in block.layers[1].steps[0]) == 1840
 
 
 def test_eval_counts_memory_stays_per_support():
