@@ -10,11 +10,10 @@ Three regimes:
 * estimate_agreement: i.i.d. uniform inputs, with a distribution-free
   confidence half-width for the agreement rate.
 
-Every verify_* call takes a circuit, which it compiles once
-(compile_circuit), or the Plan compiled from it; each worker receives the
-Plan once.  Per layer the Plan holds the distinct weighted supports (one
-dense weight matrix or one gather per support), each gate's support
-column and threshold, and the arithmetic: float32 when it
+Every verify_* call compiles its circuit once (compile_circuit) into a Plan
+that each worker receives once.  Per layer the Plan holds the distinct
+weighted supports (one dense weight matrix or one gather per support), each
+gate's support column and threshold, and the arithmetic: float32 when it
 holds every value the layer compares (all circuits the package builds),
 else int64, else Python integers, so every sum is exact.  A float32 matrix
 packs several sums into each column.  Every sum is below B = 2^bitlen(F),
@@ -59,7 +58,7 @@ returns from the same stream.
 Every check runs through one function, _check, and one chunk worker, _work.
 The entry points only cut their rows into jobs (source, w, index, lo, hi)
 of at most DEFAULT_CHUNK rows, a fixed size, made lazily.  _check compiles
-a circuit once, runs the jobs inline or in a process pool, at most two
+the circuit once, runs the jobs inline or in a process pool, at most two
 per worker in flight, and merges their counts in job order; _work makes a
 chunk's rows as its source says (a rank range of an exhaustive sweep,
 draws from the weight-w layer, or uniform bits), then evaluates and
@@ -541,24 +540,23 @@ def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check(
-    c: LayeredCircuit | Plan,
+    c: LayeredCircuit,
     mode: str,
     jobs: Iterable[tuple],
     workers: int,
     seed: int | None = None,
     ci_halfwidth: float | None = None,
 ) -> VerificationReport:
-    """Compile c once unless it is a Plan, run _work on every job and merge
-    the counts, in job order, into one report.
+    """Compile c once, run _work on every job and merge the counts, in job
+    order, into one report.
 
     Jobs are read as they are needed: a pool holds at most 2 * workers of
     them in flight, so memory does not grow with their number.  Sampling
     and random generation hold the interpreter lock, so scaling comes from
     processes, not threads.  A single worker, or a single job, runs inline.
     """
-    plan = c if isinstance(c, Plan) else compile_circuit(c)
-    ctx = {"plan": plan, "seed": seed}
-    counts = np.zeros((2, plan.n + 1), dtype=np.int64)
+    ctx = {"plan": compile_circuit(c), "seed": seed}
+    counts = np.zeros((2, c.n + 1), dtype=np.int64)
     jobs = iter(jobs)
     ahead = list(itertools.islice(jobs, 2 * workers)) if workers > 1 else []
     if len(ahead) <= 1:
@@ -585,7 +583,7 @@ def _check(
 
 
 def verify_all(
-    c: LayeredCircuit | Plan,
+    c: LayeredCircuit,
     *,
     workers: int = 1,
     cap: int = EXHAUSTIVE_CAP,
@@ -834,7 +832,7 @@ def sample_class_counts(sizes: np.ndarray, w: int, count: int, seed: int, chunk_
 
 
 def verify_minmax(
-    c: LayeredCircuit | Plan,
+    c: LayeredCircuit,
     *,
     samples: int | None = None,
     seed: int | None = None,
@@ -872,7 +870,7 @@ def verify_minmax(
 
 
 def estimate_agreement(
-    c: LayeredCircuit | Plan,
+    c: LayeredCircuit,
     samples: int,
     seed: int,
     *,

@@ -658,35 +658,6 @@ def test_verify_minmax_worker_count_does_not_change_the_report():
     assert verify_minmax(c, samples=300, seed=5, workers=4).to_json() == base
 
 
-VERIFY_CALLS = {
-    "all": lambda c, workers: verify_all(c, workers=workers),
-    "layers": lambda c, workers: verify_minmax(c, workers=workers),
-    "sample": lambda c, workers: verify_minmax(c, samples=1200, seed=4, workers=workers),
-    "agreement": lambda c, workers: estimate_agreement(c, 1200, 4, workers=workers),
-}
-
-
-@pytest.mark.parametrize("call", VERIFY_CALLS.values(), ids=VERIFY_CALLS)
-def test_a_circuit_and_its_plan_give_one_report(call):
-    c = build_depth3(Depth3Params(2))
-    plan = compile_circuit(c)
-    with mock.patch("majcirc.verify.DEFAULT_CHUNK", 4096):
-        base = call(c, 1).to_json()
-        assert [call(x, workers).to_json() for x in (c, plan) for workers in (1, 2)] == [base] * 4
-
-
-def test_verify_calls_compile_a_circuit_once_and_a_plan_never():
-    c = build_depth3(Depth3Params(2))
-    plan = compile_circuit(c)
-    with mock.patch("majcirc.verify.compile_circuit", wraps=compile_circuit) as compile_:
-        for call in VERIFY_CALLS.values():
-            call(plan, 1)
-        assert compile_.call_count == 0
-        for call in VERIFY_CALLS.values():
-            call(c, 1)
-        assert compile_.call_args_list == [mock.call(c)] * len(VERIFY_CALLS)
-
-
 # -- shared gate inputs -------------------------------------------------------
 
 
