@@ -283,6 +283,8 @@ def _as_truth_table(f: BoolFn, l: int) -> np.ndarray:
 
 
 def majority_truth_table(l: int) -> np.ndarray:
+    if l < 1:
+        raise ValueError(f"majority needs at least one variable, got {l}")
     if l > BRUTE_FORCE_CAP:
         raise CapExceeded(f"l={l} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     return truth_table(LayeredCircuit(n=l, k=l, layers=((majority_gate(range(l)),),), top=0))
@@ -366,9 +368,10 @@ def kill_cost(gate: ThresholdGate) -> KillCost:
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk parameters: at most s steps, gates qualify while their margin
-    lies in -d..-1, x_star (1-based) is the tracked coordinate, g_star the
-    bottom-layer gates reading it.  gate_choice picks among qualifying
-    gates: "lowest" index for reproducible traces, or seeded "random"."""
+    lies in -d..-1 and they read a one, x_star (1-based) is the tracked
+    coordinate, g_star the bottom-layer gates reading it.  gate_choice
+    picks among qualifying gates: "lowest" index for reproducible traces,
+    or seeded "random"."""
 
     s: int
     d: int
@@ -409,10 +412,11 @@ def walk(c: LayeredCircuit, a: Assignment, cfg: WalkConfig) -> WalkTrace:
 
     Starts from an assignment one flip below the majority threshold with
     the tracked coordinate at 0.  Each step picks a qualifying tracked gate
-    (margin in -d..-1), flips a uniformly random one-variable that gate
-    depends on, and records the margins of all tracked gates; the weight
-    drops by exactly 1 per step.  Stops after s steps (exhausted_s) or when
-    no tracked gate qualifies (no_negative_gate).
+    (margin in -d..-1 and at least one input at 1), flips a uniformly
+    random one-variable that gate depends on, and records the margins of
+    all tracked gates; the weight drops by exactly 1 per step.  Stops
+    after s steps (exhausted_s) or when no tracked gate qualifies
+    (no_negative_gate).
     """
     bottom = c.layers[0]
     if a.n != c.n:
@@ -440,7 +444,10 @@ def walk(c: LayeredCircuit, a: Assignment, cfg: WalkConfig) -> WalkTrace:
     stop_reason = "exhausted_s"
     for _ in range(cfg.s):
         qualifying = [
-            g for g in cfg.g_star if -cfg.d <= gate_diff(bottom[g], bits) <= -1
+            g
+            for g in cfg.g_star
+            if -cfg.d <= gate_diff(bottom[g], bits) <= -1
+            and any(bits[p] for p in bottom[g].support)
         ]
         if not qualifying:
             stop_reason = "no_negative_gate"
@@ -450,8 +457,6 @@ def walk(c: LayeredCircuit, a: Assignment, cfg: WalkConfig) -> WalkTrace:
         else:
             g = qualifying[rng.randrange(len(qualifying))]
         ones = [p for p in bottom[g].support if bits[p] == 1]
-        if not ones:
-            raise RuntimeError(f"gate {g} reads no ones; the walk cannot step")
         y = ones[rng.randrange(len(ones))]
         bits[y] = 0
         after = tuple((h, gate_diff(bottom[h], bits)) for h in cfg.g_star)

@@ -111,7 +111,7 @@ def _threshold_run(support, thetas: range) -> list[ThresholdGate]:
     """One gate per threshold over the unit-weight positions in support; the
     gates share the first gate's inputs, checked once."""
     first = ThresholdGate(tuple((v, 1) for v in support), thetas[0])
-    return [first, *(ThresholdGate(first.inputs, m) for m in thetas[1:])]
+    return [first, *(first.with_theta(m) for m in thetas[1:])]
 
 
 def build_block_circuit(params: BlockParams) -> LayeredCircuit:

@@ -11,13 +11,14 @@ layer below (for layer 1, position i means variable number i+1).  Variable
 numbers in the public API and in the text format are 1-based, matching the
 usual x1..xn naming.
 
-Shared supports.  A gate's inputs are checked once and stored as a sorted
-tuple of a private type, which the check also gives the support's fan-in
-and largest weight; a gate given such a tuple keeps it without a second
-check.  So gates that read one support (a block circuit has n/p distinct
-layer-1 supports among its thousands of gates) share one inputs object,
-loading, checking and serializing a circuit cost work per distinct
-support, not per gate, and fan-in bounds are read, never recomputed.
+Shared supports.  A gate's check stores its inputs as a sorted tuple and
+records their weighted fan-in and largest weight on the gate.
+ThresholdGate.with_theta makes a gate at another threshold on the same
+inputs object, with the same record and no second check.  So gates that
+read one support (a block circuit has n/p distinct layer-1 supports among
+its thousands of gates) share one inputs object, loading, checking and
+serializing a circuit cost work per distinct support, not per gate, and
+fan-in bounds are read, never recomputed.
 """
 
 from __future__ import annotations
@@ -52,20 +53,7 @@ def majority_threshold(n: int) -> int:
     return (n + 1) // 2
 
 
-class _CheckedInputs(tuple):
-    """Gate inputs that passed ThresholdGate's check: sorted (position,
-    weight) pairs of ints, positions distinct and >= 0, weights >= 1, with
-    their sum ``fanin`` and their largest weight ``max_weight``.
-
-    Only that check makes one, so a gate given one skips the check and
-    shares the object with the gate it came from.
-    """
-
-    fanin: int
-    max_weight: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdGate:
     """[sum of weight*input >= theta] over distinct input positions.
 
@@ -73,43 +61,47 @@ class ThresholdGate:
     into the layer below and may not repeat (a repeat is expressed by its
     weight).  theta may be any integer: theta <= 0 gives a constant-1 gate
     and theta > fanin a constant-0 gate, both occasionally useful as
-    degenerate cases.
-
-    Pass one gate's ``inputs`` to other gates on the same support: they
-    share it, checked once.
+    degenerate cases.  The check records ``fanin``, the total fan-in
+    counting weights (a weight-w wire counts w times), and ``max_weight``.
     """
 
     inputs: tuple[tuple[int, int], ...]
     theta: int
+    fanin: int = field(init=False, compare=False, repr=False)
+    max_weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if type(self.inputs) is not _CheckedInputs:
-            pairs = [(int(p), int(w)) for p, w in self.inputs]
-            pairs.sort()
-            if not pairs:
-                raise CircuitError("gate has no inputs")
-            seen = set()
-            fanin = max_weight = 0
-            for p, w in pairs:
-                if p < 0:
-                    raise CircuitError(f"negative input position {p}")
-                if p in seen:
-                    raise CircuitError(f"duplicate input position {p}")
-                seen.add(p)
-                if w < 1:
-                    raise CircuitError(f"non-positive weight {w} on position {p}")
-                fanin += w
-                if w > max_weight:
-                    max_weight = w
-            checked = _CheckedInputs(pairs)
-            checked.fanin, checked.max_weight = fanin, max_weight
-            object.__setattr__(self, "inputs", checked)
+        pairs = [(int(p), int(w)) for p, w in self.inputs]
+        pairs.sort()
+        if not pairs:
+            raise CircuitError("gate has no inputs")
+        seen = set()
+        fanin = max_weight = 0
+        for p, w in pairs:
+            if p < 0:
+                raise CircuitError(f"negative input position {p}")
+            if p in seen:
+                raise CircuitError(f"duplicate input position {p}")
+            seen.add(p)
+            if w < 1:
+                raise CircuitError(f"non-positive weight {w} on position {p}")
+            fanin += w
+            if w > max_weight:
+                max_weight = w
+        object.__setattr__(self, "inputs", tuple(pairs))
         object.__setattr__(self, "theta", int(self.theta))
+        object.__setattr__(self, "fanin", fanin)
+        object.__setattr__(self, "max_weight", max_weight)
 
-    @property
-    def fanin(self) -> int:
-        """Total fan-in counting weights (a weight-w wire counts w times)."""
-        return self.inputs.fanin
+    def with_theta(self, theta: int) -> ThresholdGate:
+        """This gate at threshold theta: the same inputs object and recorded
+        bounds, without a second check."""
+        gate = object.__new__(ThresholdGate)
+        object.__setattr__(gate, "inputs", self.inputs)
+        object.__setattr__(gate, "theta", int(theta))
+        object.__setattr__(gate, "fanin", self.fanin)
+        object.__setattr__(gate, "max_weight", self.max_weight)
+        return gate
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -118,10 +110,6 @@ class ThresholdGate:
     @property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.inputs)
-
-    @property
-    def max_weight(self) -> int:
-        return self.inputs.max_weight
 
     def is_standard(self) -> bool:
         return self.theta == standard_theta(self.fanin)
@@ -445,14 +433,14 @@ def parse_circuit(text: str) -> LayeredCircuit:
             raise CircuitParseError(header_no, f"layer {d} has no gates")
         below = rows.get(d - 1, {})
         gates = []
-        # body text -> inputs of the first gate built from it, shared by the
-        # gates that repeat the body.  A body is kept only once its gate is
+        # body text -> the first gate built from it, whose inputs the gates
+        # that repeat the body share.  A body is kept only once its gate is
         # built, so a bad body fails on the first line that carries it.
-        parsed: dict[str, tuple[tuple[int, int], ...]] = {}
+        parsed: dict[str, ThresholdGate] = {}
         for _, no, theta, body in rows[d].values():
             shared = parsed.get(body)
             if shared is not None:
-                gates.append(ThresholdGate(shared, theta))
+                gates.append(shared.with_theta(theta))
                 continue
             inputs = []
             for tok in body.split():
@@ -484,7 +472,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
                 gate = ThresholdGate(tuple(inputs), theta)
             except CircuitError as e:
                 raise CircuitParseError(no, str(e)) from None
-            parsed[body] = gate.inputs
+            parsed[body] = gate
             gates.append(gate)
         layers.append(tuple(gates))
 

@@ -29,10 +29,11 @@ not one 0/1 column per gate: the layer above reads each of them through a
 step table indexed by the sum itself, whose entry for a sum is the
 weight of the gates on it that the sum reaches, and only the top gate
 compares a sum with a threshold.  Where a table would be longer than
-DEFAULT_CHUNK entries (thresholds that far apart need large weights), the
-gates' sorted thresholds and cumulative weights are kept instead, looked
-up by binary search.  Layers whose gates each have a support of their own
-(published, correlation) hand up 0/1 outputs.
+DEFAULT_CHUNK entries (its thresholds span more than DEFAULT_CHUNK: large
+weights, or a wide support, such as the top gate of one block with every
+threshold 1..8192), the gates' sorted thresholds and cumulative weights
+are kept instead, looked up by binary search.  Layers whose gates each
+have a support of their own (published, correlation) hand up 0/1 outputs.
 
 Variables whose weight columns into layer 1 are identical form a variable
 class; only the number of ones in each class matters to the circuit.  When
@@ -254,16 +255,17 @@ def _compile_layer(
     columns: dict[tuple, int] = {}
     # gates on one support usually share one inputs object: hash it once
     by_id: dict[int, int] = {}
-    group = []
+    group, fanins = [], []
     for g in gates:
         j = by_id.get(id(g.inputs))
         if j is None:
             j = by_id[id(g.inputs)] = columns.setdefault(g.inputs, len(columns))
+            if j == len(fanins):  # g opens column j
+                fanins.append(g.fanin)
         group.append(j)
     sigs = list(columns)
     lengths = np.fromiter(map(len, sigs), dtype=np.intp, count=len(sigs))
     flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(sigs)))
-    fanins = [sig.fanin for sig in sigs]
     top = max(fanins)
     dtype = _arithmetic(top + 1)
     entries = (

@@ -505,6 +505,15 @@ def test_analyze_influence(capsys):
     assert "match: True" in out
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [(["boundary", "--n", "0"], 0), (["influence", "--l", "0"], 0), (["influence", "--l", "-2"], -2)],
+)
+def test_analyze_rejects_a_majority_of_no_variables(argv, size, capsys):
+    assert main(["analyze", *argv]) == 2
+    assert capsys.readouterr().err == f"error: majority needs at least one variable, got {size}\n"
+
+
 def test_analyze_walk(tmp_path, capsys):
     g0 = ThresholdGate(((0, 1), (6, 1)), theta=2)
     g1 = ThresholdGate(((1, 1), (6, 1)), theta=2)
@@ -522,6 +531,24 @@ def test_analyze_walk(tmp_path, capsys):
     assert "stop_reason: no_negative_gate" in out
     assert "final: 0010000" in out
     assert "1,0,1,1,0:-2;1:-1" in out
+
+
+def test_analyze_walk_passes_over_a_gate_that_reads_no_ones(n7_file, capsys):
+    # after two steps gate 0's ones are all flipped; its margin -3 is still
+    # in -d..-1, so only its lack of ones sends the third step to gate 1
+    rc = main(
+        ["analyze", "walk", "--circuit", n7_file, "--start", "0001110",
+         "--s", "3", "--d", "3", "--x-star", "1", "--g-star", "0,1,2"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "step,gate,ones_available,flipped,diffs_after",
+        "1,0,2,4,0:-2;1:-2;2:-1",
+        "2,0,1,5,0:-3;1:-2;2:-2",
+        "3,1,1,6,0:-3;1:-3;2:-3",
+        "stop_reason: exhausted_s",
+        "final: 0000000",
+    ]
 
 
 def test_analyze_walk_bad_start(tmp_path, capsys):

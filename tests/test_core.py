@@ -5,6 +5,7 @@ import itertools
 import pickle
 import tracemalloc
 from typing import Callable
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -199,16 +200,20 @@ def test_gate_validation():
         ThresholdGate(((-1, 1),), theta=1)
 
 
-def test_gates_given_checked_inputs_share_them():
+def test_with_theta_shares_the_inputs():
     g = ThresholdGate(((2, 1), (0, 3)), theta=2)
-    assert g.inputs == ((0, 3), (2, 1))
-    h = ThresholdGate(g.inputs, theta=1)
+    assert g.inputs == ((0, 3), (2, 1)) and type(g.inputs) is tuple
+    assert not hasattr(g, "__dict__")
+    # with_theta copies the inputs object and the recorded bounds; it never
+    # runs the check again
+    with mock.patch.object(ThresholdGate, "__post_init__", side_effect=AssertionError):
+        h = g.with_theta(1)
     assert h.inputs is g.inputs and h.theta == 1
-    # an equal plain tuple is checked again into a fresh object
-    plain = tuple(g.inputs)
-    assert type(plain) is tuple and plain == g.inputs
-    assert ThresholdGate(plain, theta=2).inputs is not plain
-    assert ThresholdGate(plain, theta=2) == g
+    assert (h.fanin, h.max_weight) == (g.fanin, g.max_weight) == (4, 3)
+    assert h == ThresholdGate(((0, 3), (2, 1)), theta=1)
+    # the constructor checks any inputs into a fresh tuple, a gate's own too
+    assert ThresholdGate(g.inputs, theta=2).inputs is not g.inputs
+    assert ThresholdGate(g.inputs, theta=2) == g
 
 
 @pytest.mark.parametrize(
@@ -220,8 +225,8 @@ def test_gates_given_checked_inputs_share_them():
     ],
 )
 def test_inputs_not_made_by_the_check_are_checked(inputs, message):
-    # only the check's own tuples skip it; plain tuples, lists and other
-    # tuple subclasses raise the same message as ever
+    # every inputs value is checked: tuples, lists and tuple subclasses
+    # raise the same message
     class Pairs(tuple):
         __slots__ = ()
 
@@ -253,19 +258,20 @@ def test_gate_properties():
 )
 def test_recorded_fanin_and_max_weight_match_the_weights(by_position, theta):
     """The check records the sum and the largest of the weights, also past
-    int64, and the record travels with the inputs object: to a gate that
-    shares it, through pickle and through deepcopy."""
+    int64, and the record travels with the gate: to a gate that with_theta
+    makes, through pickle and through deepcopy."""
     g = ThresholdGate(tuple(by_position.items())[::-1], theta)
     weights = list(by_position.values())
-    shared = ThresholdGate(g.inputs, theta + 1)
+    shared = g.with_theta(theta + 1)
     assert shared.inputs is g.inputs
     for h in (g, shared, pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert h.fanin == sum(weights) == sum(h.weights)
         assert h.max_weight == max(weights) == max(h.weights)
         assert h.is_standard() == (h.theta == standard_theta(sum(weights)))
-    # one pickle keeps two gates on one inputs object sharing it
-    a, b = pickle.loads(pickle.dumps((g, shared)))
-    assert a.inputs is b.inputs and b.fanin == g.fanin
+    # one pickle or deepcopy keeps two gates on one inputs object sharing it
+    for a, b in (pickle.loads(pickle.dumps((g, shared))), copy.deepcopy((g, shared))):
+        assert (a, b) == (g, shared)
+        assert a.inputs is b.inputs and b.fanin == g.fanin and b.max_weight == g.max_weight
 
 
 @pytest.mark.parametrize("theta, top_theta", [(None, 2), (3, 3), (-1, -1)])
@@ -345,19 +351,19 @@ def test_circuit_rejects_dangling_reference():
 
 def test_circuit_checks_each_distinct_support_after_shared_ones():
     ok = majority_gate([0, 1])
-    shared = (ok, ThresholdGate(ok.inputs, 2))
+    shared = (ok, ok.with_theta(2))
     wide = majority_gate([0, 1, 2, 3])
     with pytest.raises(CircuitError) as err:
         LayeredCircuit(n=4, k=3, layers=(shared + (wide,),), top=0)
     assert str(err.value) == "gate 1:2 fan-in 4 exceeds bound k=3"
     dangling = majority_gate([1, 4])
     with pytest.raises(CircuitError) as err:
-        LayeredCircuit(n=4, k=3, layers=(shared + (ThresholdGate(ok.inputs, 0), dangling),), top=0)
+        LayeredCircuit(n=4, k=3, layers=(shared + (ok.with_theta(0), dangling),), top=0)
     assert str(err.value) == "gate 1:3 references position 4 but layer below has width 4"
     # a support read by two layers is checked against each layer's width
     below = (ok, majority_gate([2]))
     with pytest.raises(CircuitError, match="gate 3:0 references position 1 but layer below has width 1"):
-        LayeredCircuit(n=4, k=3, layers=(below, (ThresholdGate(ok.inputs, 1),), (ok,)), top=0)
+        LayeredCircuit(n=4, k=3, layers=(below, (ok.with_theta(1),), (ok,)), top=0)
 
 
 def test_circuit_rejects_bad_top_and_empty_layer():
@@ -399,7 +405,7 @@ def test_inspect_circuit_flags_nonstandard():
 def shared_nonstandard() -> LayeredCircuit:
     """Two gates on one inputs object, only the first standard."""
     a = ThresholdGate(((0, 1), (1, 2), (2, 1)), theta=2)
-    b = ThresholdGate(a.inputs, theta=3)
+    b = a.with_theta(3)
     top = majority_gate([0, 1])
     return LayeredCircuit(n=3, k=4, layers=((a, b), (top,)), top=0)
 
@@ -630,7 +636,7 @@ def test_round_trip_random_circuits(c):
 
 def unshared(layer):
     """The layer with every gate's inputs checked into an object of its own."""
-    return tuple(ThresholdGate(tuple(g.inputs), g.theta) for g in layer)
+    return tuple(ThresholdGate(g.inputs, g.theta) for g in layer)
 
 
 def serialize_gate_by_gate(c: LayeredCircuit) -> str:
@@ -648,23 +654,26 @@ def serialize_gate_by_gate(c: LayeredCircuit) -> str:
 
 @st.composite
 def shared_circuit_strategy(draw):
-    """Random circuits whose gates repeat some supports: as one shared
-    inputs object, as an equal plain tuple, and, across layers, as the
-    same object read by gates of two layers."""
+    """Random circuits whose gates repeat some supports: on one shared
+    inputs object by with_theta, as a gate checked from an equal tuple,
+    and, across layers, as the same object read by gates of two layers."""
     c = draw(circuit_strategy())
     layers = []
     for layer in c.layers:
         gates = list(layer)
         for _ in range(draw(st.integers(0, 3))):
             src = draw(st.sampled_from(gates))
-            inputs = src.inputs if draw(st.booleans()) else tuple(src.inputs)
-            gates.insert(draw(st.integers(0, len(gates))), ThresholdGate(inputs, src.theta + 1))
+            if draw(st.booleans()):
+                again = src.with_theta(src.theta + 1)
+            else:
+                again = ThresholdGate(src.inputs, src.theta + 1)
+            gates.insert(draw(st.integers(0, len(gates))), again)
         layers.append(tuple(gates))
     for d in range(1, len(layers)):
         # a later layer may reuse an earlier layer's object where it fits
-        reuse = [g.inputs for g in layers[d - 1] if g.inputs[-1][0] < len(layers[d - 1])]
+        reuse = [g for g in layers[d - 1] if g.inputs[-1][0] < len(layers[d - 1])]
         if reuse and draw(st.booleans()):
-            layers[d] = layers[d] + (ThresholdGate(draw(st.sampled_from(reuse)), 1),)
+            layers[d] = layers[d] + (draw(st.sampled_from(reuse)).with_theta(1),)
     top = draw(st.integers(0, len(layers[-1]) - 1))
     return LayeredCircuit(n=c.n, k=10**6, layers=tuple(layers), top=top)
 

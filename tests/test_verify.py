@@ -168,8 +168,10 @@ def shared_support_circuits(draw):
                     st.just(near), st.integers(-2, sum(weights) + 2), st.sampled_from([-(2**70), 2**70])
                 ))
                 # gates on one support share one inputs object or check their own
-                inputs = first.inputs if first and draw(st.booleans()) else tuple(zip(support, weights))
-                gate = ThresholdGate(inputs, theta)
+                if first and draw(st.booleans()):
+                    gate = first.with_theta(theta)
+                else:
+                    gate = ThresholdGate(tuple(zip(support, weights)), theta)
                 first = first or gate
                 gates.append(gate)
         layers.append(tuple(draw(st.permutations(gates))))
@@ -228,7 +230,7 @@ def test_step_tables_index_by_the_sum_up_to_a_chunk_of_entries():
     bottom = []
     for inputs, thetas in zip(supports, ((1, 2), (1, 8191), (1, 8192))):
         first = ThresholdGate(inputs, thetas[0])
-        bottom += [first, ThresholdGate(first.inputs, thetas[1])]
+        bottom += [first, first.with_theta(thetas[1])]
     top = ThresholdGate(tuple((g, 1) for g in range(6)), 4)
     c = LayeredCircuit(n=2, k=8194, layers=(tuple(bottom), (top,)), top=0)
     (a, b, wide), = compile_circuit(c).layers[1].steps
@@ -240,10 +242,21 @@ def test_step_tables_index_by_the_sum_up_to_a_chunk_of_entries():
     assert_matches_eval_circuit(c, np.float32)
 
 
+def test_unit_weights_reach_the_binary_search_fallback():
+    # one block with every threshold 1..8192: the top gate's table would
+    # need DEFAULT_CHUNK + 1 entries though every weight is 1
+    c = build_block_circuit(BlockParams(8192, 8192, 8192))
+    ((s, lo, thresholds, table),), = compile_circuit(c).layers[1].steps
+    assert (s, lo) == (0, None)
+    assert thresholds.tolist() == list(range(1, 8193)) and table.tolist() == list(range(8193))
+    report = verify_minmax(c, samples=64, seed=1)
+    assert (report.total_checked, report.errors) == (128, 0)
+
+
 def test_a_table_shifted_by_one_is_caught(monkeypatch):
     # three thresholds on one sum under a majority of them: majority of three
     first = ThresholdGate(((0, 1), (1, 1), (2, 1)), 1)
-    bottom = (first, ThresholdGate(first.inputs, 2), ThresholdGate(first.inputs, 3))
+    bottom = (first, first.with_theta(2), first.with_theta(3))
     c = LayeredCircuit(n=3, k=3, layers=(bottom, (majority_gate(range(3)),)), top=0)
     assert_matches_eval_circuit(c, np.float32)
     step_tables = verify._step_tables
@@ -664,7 +677,7 @@ def test_verify_minmax_worker_count_does_not_change_the_report():
 def unshared(c: LayeredCircuit) -> LayeredCircuit:
     """c with every gate's inputs checked into an object of its own."""
     layers = tuple(
-        tuple(ThresholdGate(tuple(g.inputs), g.theta) for g in layer) for layer in c.layers
+        tuple(ThresholdGate(g.inputs, g.theta) for g in layer) for layer in c.layers
     )
     return LayeredCircuit(c.n, c.k, layers, c.top)
 
@@ -1290,7 +1303,7 @@ def uneven_block_circuit(sizes):
     gates, start = [], 0
     for s in sizes:
         first = ThresholdGate(tuple((v, 1) for v in range(start, start + s)), s // 2)
-        gates += [first, ThresholdGate(first.inputs, s // 2 + 1)]
+        gates += [first, first.with_theta(s // 2 + 1)]
         start += s
     top = ThresholdGate(tuple((g, 1) for g in range(len(gates))), len(sizes))
     return LayeredCircuit(n=start, k=max(*sizes, len(gates)), layers=(tuple(gates), (top,)), top=0)
