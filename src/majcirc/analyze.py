@@ -7,8 +7,8 @@ the constructions rely on can be checked rather than trusted:
 * hypergeometric pmf, tail bounds and antichain hitting probabilities for
   the random-subset analysis;
 * central binomial estimates used to size the balanced layers;
-* boundary and influence of small boolean functions by brute force, next to
-  their closed forms for majority;
+* boundary and influence of small boolean functions, given as truth
+  tables, by brute force, next to their closed forms for majority;
 * per-gate kill costs (how many variables must be pinned to force a gate);
 * the weight-reducing walk over low-margin gates.
 """
@@ -20,8 +20,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -255,32 +255,6 @@ def binomial_mid_check(n_grid: Sequence[int], c: float = 0.5) -> list[BinomialMi
 
 # -- boundary and influence -------------------------------------------------
 
-BoolFn = (
-    LayeredCircuit
-    | ThresholdGate
-    | Callable[[Assignment], int]
-    | Sequence[int]
-    | np.ndarray
-)
-
-
-def _as_truth_table(f: BoolFn, l: int) -> np.ndarray:
-    """Truth table over l variables, indexed with x1 as the top bit."""
-    if isinstance(f, LayeredCircuit):
-        if f.n != l:
-            raise ValueError(f"circuit has n={f.n}, expected {l}")
-        return truth_table(f)
-    if isinstance(f, ThresholdGate):
-        return truth_table(LayeredCircuit(n=l, k=f.fanin, layers=((f,),), top=0))
-    if callable(f):
-        # product varies the first bit slowest, so x1 is the top bit
-        values = (1 if f(Assignment(bits)) else 0 for bits in product((0, 1), repeat=l))
-        return np.fromiter(values, dtype=np.uint8, count=2**l)
-    tt = np.asarray(f, dtype=np.uint8)
-    if tt.shape != (2**l,):
-        raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")
-    return tt
-
 
 def majority_truth_table(l: int) -> np.ndarray:
     if l < 1:
@@ -290,12 +264,18 @@ def majority_truth_table(l: int) -> np.ndarray:
     return truth_table(LayeredCircuit(n=l, k=l, layers=((majority_gate(range(l)),),), top=0))
 
 
-def boundary_size(f: BoolFn, l: int) -> int:
+def boundary_size(tt: Sequence[int] | np.ndarray, l: int) -> int:
     """Number of (assignment, coordinate) pairs where flipping the
-    coordinate flips the function, by brute force over all 2^l inputs."""
+    coordinate flips the function, by brute force over all 2^l inputs.
+
+    tt is the function's truth table: 2^l 0/1 entries, entry i the value
+    on the assignment with x1 as the most significant bit of i.
+    """
     if l > BRUTE_FORCE_CAP:
         raise CapExceeded(f"l={l} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    tt = _as_truth_table(f, l)
+    tt = np.asarray(tt, dtype=np.uint8)
+    if tt.shape != (2**l,):
+        raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")
     idx = np.arange(2**l, dtype=np.uint64)
     total = 0
     for i in range(l):
@@ -303,9 +283,10 @@ def boundary_size(f: BoolFn, l: int) -> int:
     return total
 
 
-def influence(f: BoolFn, l: int) -> Fraction:
-    """Expected number of sensitive coordinates on a uniform assignment."""
-    return Fraction(boundary_size(f, l), 2**l)
+def influence(tt: Sequence[int] | np.ndarray, l: int) -> Fraction:
+    """Expected number of sensitive coordinates on a uniform assignment;
+    tt is a truth table as in boundary_size."""
+    return Fraction(boundary_size(tt, l), 2**l)
 
 
 def majority_boundary_closed(n: int) -> int:

@@ -231,7 +231,7 @@ def _cmd_analyze_hypergeom(args) -> int:
             args.format,
         )
         return EXIT_ERRORS if violations else EXIT_OK
-    if args.scaling:
+    if args.scaling is not None:
         rows = analyze.pmf_scaling_probe(args.scaling, Fraction(1, 2))
         print("kk,mode,normalized")
         for r in rows:

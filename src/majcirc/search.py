@@ -760,6 +760,13 @@ def exhaustive_search(
     cands = [(vec, t) for vec in _candidate_rows(spec) for t in _thresholds(spec)]
     if not cands:
         return None
+    # a row per critical input, C(n, w) + C(n, w - 1) = C(n + 1, w) of
+    # them, and an inputs x candidates firing table per critical layer
+    cells = math.comb(n + 1, majority_threshold(n)) * len(cands)
+    if cells > space_cap:
+        raise SpaceTooLarge(
+            f"critical-input tables of {cells} cells, over the cap {space_cap}", cells
+        )
 
     # [i, c]: candidate c's multiplicity of variable i, in the dtype of k,
     # which holds any candidate's count on an input
@@ -809,57 +816,6 @@ def exhaustive_search(
 # -- the fan-in n-2 refutation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphComponent:
-    """A connected component of an OmissionGraph.  ``vertices`` is its
-    breadth-first order from its lowest vertex, neighbours in ascending
-    order, so every vertex but the first comes after its BFS parent."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def p(self) -> int:
-        """Edges minus vertices; -1 exactly for trees."""
-        return len(self.edges) - len(self.vertices)
-
-
-@dataclass(frozen=True)
-class OmissionGraph:
-    """Multigraph on the variables with one edge per bottom gate, joining
-    the two variables that gate omits.  Vertices are 1-based."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def components(self) -> tuple[GraphComponent, ...]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen: set[int] = set()
-        comps = []
-        for root in range(1, self.n + 1):
-            if root in seen:
-                continue
-            seen.add(root)
-            order = [root]
-            for u in order:  # the queue is the order itself, read as it grows
-                for w in sorted(adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-            members = set(order)
-            cedges = tuple(e for e in self.edges if e[0] in members)
-            comps.append(GraphComponent(tuple(order), cedges))
-        return tuple(comps)
-
-    @property
-    def p_values(self) -> tuple[int, ...]:
-        return tuple(c.p for c in self.components)
-
-
 def _fooling_preconditions(c: LayeredCircuit) -> list[tuple[int, int]]:
     """Validate the fan-in n-2 shape and return the omitted pair per gate."""
     n = c.n
@@ -895,8 +851,35 @@ def _fooling_preconditions(c: LayeredCircuit) -> list[tuple[int, int]]:
     return pairs
 
 
-def omission_graph(c: LayeredCircuit) -> OmissionGraph:
-    return OmissionGraph(c.n, tuple(_fooling_preconditions(c)))
+def omission_components(
+    c: LayeredCircuit,
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """(vertices, edges) per connected component of the multigraph on the
+    variables (1-based) with one edge per bottom gate, joining the two
+    variables it omits.  Components come in order of their lowest vertex;
+    vertices are in breadth-first order from it, neighbours ascending, so
+    every vertex but the first comes after its BFS parent; edges are in
+    gate order."""
+    edges = _fooling_preconditions(c)
+    adj: dict[int, list[int]] = {v: [] for v in range(1, c.n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen: set[int] = set()
+    comps = []
+    for root in range(1, c.n + 1):
+        if root in seen:
+            continue
+        seen.add(root)
+        order = [root]
+        for u in order:  # the queue is the order itself, read as it grows
+            for w in sorted(adj[u]):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        members = set(order)
+        comps.append((tuple(order), tuple(e for e in edges if e[0] in members)))
+    return comps
 
 
 def fooling_input(c: LayeredCircuit) -> Assignment:
@@ -924,21 +907,22 @@ def fooling_input(c: LayeredCircuit) -> Assignment:
     * so the zeros touch at most l + 1 + sum(p, whole components) + p(C)
       <= l - 1 edges (l + sum(p, whole components) if none is split).
     """
-    graph = omission_graph(c)
     n = c.n
     l = (n - 1) // 2
     comps = sorted(
-        graph.components, key=lambda h: (h.p, len(h.vertices), h.vertices[0])
+        omission_components(c),
+        key=lambda comp: (len(comp[1]) - len(comp[0]), len(comp[0]), comp[0][0]),
     )
-    if comps[0].p != -1 or len(comps[0].vertices) > l:
+    smallest, smallest_edges = comps[0]
+    if len(smallest_edges) != len(smallest) - 1 or len(smallest) > l:
         raise RuntimeError(
             "component accounting failed: the smallest component should be "
             f"a tree of at most {l} vertices"
         )
     zeros: set[int] = set()
-    for comp in comps:
+    for vertices, _ in comps:
         need = l - len(zeros)
         if need == 0:
             break
-        zeros.update(comp.vertices[-need:])  # all of it, or its BFS tail
+        zeros.update(vertices[-need:])  # all of it, or its BFS tail
     return Assignment(tuple(0 if v in zeros else 1 for v in range(1, n + 1)))

@@ -390,6 +390,9 @@ def eval_bulk(c: LayeredCircuit | Plan, bits: np.ndarray) -> np.ndarray:
     plan = c if isinstance(c, Plan) else compile_circuit(c)
     if bits.ndim != 2 or bits.shape[1] != plan.n:
         raise ValueError(f"expected a (m, {plan.n}) bit matrix, got {bits.shape}")
+    # a packed layer would carry an entry above 1 into the next sum's digit
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bit matrix entries must be 0 or 1")
     return _run(plan, bits, plan.layers[0])
 
 
@@ -403,6 +406,8 @@ def eval_counts(plan: Plan, counts: np.ndarray) -> np.ndarray:
         raise ValueError("the circuit's variable classes do not compress")
     if counts.ndim != 2 or counts.shape[1] != len(plan.sizes):
         raise ValueError(f"expected a (m, {len(plan.sizes)}) count matrix, got {counts.shape}")
+    if not ((counts >= 0) & (counts <= plan.sizes)).all():
+        raise ValueError("class counts must lie between 0 and the class sizes")
     return _run(plan, counts, plan.classes)
 
 
@@ -446,7 +451,7 @@ def truth_table(c: LayeredCircuit) -> np.ndarray:
         )
     plan = compile_circuit(c)
     chunks = _chunks(2**c.n, DEFAULT_CHUNK)
-    return np.concatenate([eval_bulk(plan, _rows(c.n, None, lo, hi)) for _, lo, hi in chunks])
+    return np.concatenate([_run(plan, _rows(c.n, None, lo, hi), plan.layers[0]) for _, lo, hi in chunks])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from majcirc.analyze import (
     BRUTE_FORCE_CAP,
-    _as_truth_table,
     HypergeomParams,
     KillCost,
     WalkConfig,
@@ -36,10 +35,11 @@ from majcirc.core import (
     Assignment,
     LayeredCircuit,
     ThresholdGate,
+    eval_circuit,
     majority_gate,
     majority_value,
 )
-from majcirc.verify import CapExceeded
+from majcirc.verify import CapExceeded, truth_table
 
 
 def enumerate_hits(p: HypergeomParams):
@@ -291,32 +291,43 @@ def test_boundary_closed_form_values():
     assert majority_influence_closed(1) == 1
 
 
+def gate_table(gate: ThresholdGate, l: int) -> np.ndarray:
+    return truth_table(LayeredCircuit(n=l, k=gate.fanin, layers=((gate,),), top=0))
+
+
+def cube(l: int) -> np.ndarray:
+    """Row i holds the bits of i, x1 the most significant."""
+    return np.array(list(itertools.product((0, 1), repeat=l)), dtype=np.uint8)
+
+
 def test_influence_accepts_callables_and_gates():
-    dictator = lambda a: a.bits[0]
+    # tables of rules on the bits, and of a gate
+    dictator = cube(5)[:, 0]
     assert influence(dictator, 5) == 1
     assert boundary_size(dictator, 5) == 2**5
-    gate = majority_gate(range(3))
-    assert influence(gate, 3) == Fraction(3, 2)
-    xor = lambda a: a.weight % 2
+    assert influence(gate_table(majority_gate(range(3)), 3), 3) == Fraction(3, 2)
+    xor = cube(4).sum(axis=1) % 2
     assert influence(xor, 4) == 4  # every edge is a boundary edge
+    assert influence(xor.tolist(), 4) == 4
+    with pytest.raises(ValueError, match="2\\^4 entries"):
+        influence(xor[:-1], 4)
 
 
 def test_callable_truth_table_matches_the_circuit_branch():
     for l in range(1, 10):
-        circuit = LayeredCircuit(n=l, k=l, layers=((majority_gate(range(l)),),), top=0)
-        by_callable = _as_truth_table(lambda a: majority_value(a), l)
-        assert by_callable.dtype == np.uint8
-        assert np.array_equal(by_callable, _as_truth_table(circuit, l))
+        by_call = [majority_value(Assignment(a)) for a in itertools.product((0, 1), repeat=l)]
+        assert majority_truth_table(l).tolist() == by_call
     # a weighted gate is not symmetric, so this also pins x1 as the top bit
     gate = ThresholdGate(((0, 3), (1, 1), (3, 1)), theta=3)
-    weighted = lambda a: 3 * a.bits[0] + a.bits[1] + a.bits[3] >= 3
-    assert np.array_equal(_as_truth_table(weighted, 4), _as_truth_table(gate, 4))
+    circuit = LayeredCircuit(n=4, k=gate.fanin, layers=((gate,),), top=0)
+    by_call = [eval_circuit(circuit, Assignment(a)) for a in itertools.product((0, 1), repeat=4)]
+    assert truth_table(circuit).tolist() == by_call
 
 
 def test_influence_equals_boundary_over_cube_size():
-    gate = ThresholdGate(((0, 2), (1, 1), (2, 1)), theta=2)
+    tt = gate_table(ThresholdGate(((0, 2), (1, 1), (2, 1)), theta=2), 3)
     l = 3
-    assert influence(gate, l) == Fraction(boundary_size(gate, l), 2**l)
+    assert influence(tt, l) == Fraction(boundary_size(tt, l), 2**l)
 
 
 def test_majority_influence_scaling():
@@ -328,7 +339,7 @@ def test_majority_influence_scaling():
 
 def test_boundary_brute_force_cap():
     with pytest.raises(CapExceeded):
-        boundary_size(lambda a: 0, BRUTE_FORCE_CAP + 1)
+        boundary_size(np.zeros(2, dtype=np.uint8), BRUTE_FORCE_CAP + 1)
 
 
 def test_closed_forms_reject_even_n():

@@ -290,6 +290,14 @@ def test_search_exhaustive_found(capsys):
     assert verify_all(c).errors == 0
 
 
+@pytest.mark.parametrize("n", [27, 64])
+def test_search_exhaustive_refuses_critical_tables_past_the_cap(n, capsys):
+    # an uncaught error here (OverflowError at n=64) would exit 1
+    assert main(["search", "--engine", "exhaustive", "--n", str(n), "--k", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cap exceeded: critical-input tables")
+
+
 def test_search_exhaustive_empty_space(capsys):
     rc = main(
         ["search", "--engine", "exhaustive", "--n", "3", "--k", "1",
@@ -474,6 +482,11 @@ def test_analyze_hypergeom_scaling(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "kk,mode,normalized"
     assert len(lines) == 3
+
+
+def test_analyze_hypergeom_empty_scaling_grid(capsys):
+    assert main(["analyze", "hypergeom", "--scaling", ","]) == 2
+    assert capsys.readouterr().err == "error: k_grid must not be empty\n"
 
 
 def test_analyze_hypergeom_needs_arguments(capsys):

@@ -51,7 +51,7 @@ from majcirc.search import (
     exhaustive_search,
     find_solver,
     fooling_input,
-    omission_graph,
+    omission_components,
     parse_model_text,
     run_solver,
     solve_spec,
@@ -146,6 +146,30 @@ def test_space_cap_enforced():
     with pytest.raises(SpaceTooLarge) as err:
         exhaustive_search(spec, space_cap=10)
     assert err.value.estimate > 10
+
+
+@pytest.mark.parametrize("n", [27, 64])
+def test_space_cap_bounds_the_critical_input_tables(n, monkeypatch):
+    # k=1 leaves n candidates, but C(n + 1, ceil(n/2)) critical inputs:
+    # past 10^9 table cells from n=27, past int64 row counts at n=64
+    def no_tables(n):
+        raise AssertionError("critical-input tables built past the cap")
+
+    monkeypatch.setattr("majcirc.search._critical_layers", no_tables)
+    spec = SearchSpaceSpec(n=n, k=1)
+    assert estimate_space(spec) == n
+    with pytest.raises(SpaceTooLarge, match="critical-input tables") as err:
+        exhaustive_search(spec)
+    assert err.value.estimate == math.comb(n + 1, majority_threshold(n)) * n
+
+
+def test_critical_input_cells_meet_the_cap_exactly():
+    # n=5, k=1: C(6, 3) = 20 critical inputs times 5 candidates
+    spec = SearchSpaceSpec(n=5, k=1)
+    with pytest.raises(SpaceTooLarge) as err:
+        exhaustive_search(spec, space_cap=99)
+    assert err.value.estimate == 100
+    assert exhaustive_search(spec, space_cap=100) is None
 
 
 def test_clause_cap_enforced():
@@ -684,33 +708,29 @@ def test_fooling_input_worked_example():
     assert eval_circuit(c, a) == 0
 
 
-def test_omission_graph_shape():
+def test_omission_components_shape():
     c = omission_circuit(7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    g = omission_graph(c)
-    assert g.n == 7
-    assert len(g.edges) == 5
-    comps = g.components
-    verts = sorted(v for comp in comps for v in comp.vertices)
+    comps = omission_components(c)
+    verts = sorted(v for vertices, _ in comps for v in vertices)
     assert verts == list(range(1, 8))
-    assert sum(g.p_values) == -2
-    assert [comp.vertices for comp in comps] == [(1, 2, 3), (4, 5, 6, 7)]
+    assert sum(len(edges) for _, edges in comps) == 5
+    assert sum(len(edges) - len(vertices) for vertices, edges in comps) == -2
+    assert [vertices for vertices, _ in comps] == [(1, 2, 3), (4, 5, 6, 7)]
 
     # vertices come in breadth-first order from the lowest vertex,
     # neighbours ascending: 1, then its neighbours 3 and 5, then theirs
     edges = [(1, 5), (1, 3), (2, 5), (3, 4), (6, 7)]
-    comps = omission_graph(omission_circuit(7, edges)).components
-    assert [comp.vertices for comp in comps] == [(1, 3, 5, 4, 2), (6, 7)]
-    assert [comp.edges for comp in comps] == [tuple(edges[:4]), ((6, 7),)]
-    assert [comp.p for comp in comps] == [-1, -1]
+    comps = omission_components(omission_circuit(7, edges))
+    assert comps == [((1, 3, 5, 4, 2), tuple(edges[:4])), ((6, 7), ((6, 7),))]
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
-def test_omission_graph_always_has_two_trees(n):
+def test_omission_components_always_has_two_trees(n):
     for seed in range(8):
         c = omission_circuit(n, random_omission_pairs(n, seed))
-        g = omission_graph(c)
-        assert sum(g.p_values) == -2
-        assert sum(1 for p in g.p_values if p == -1) >= 2
+        p = [len(edges) - len(vertices) for vertices, edges in omission_components(c)]
+        assert sum(p) == -2
+        assert p.count(-1) >= 2
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -724,7 +744,9 @@ def test_fooling_input_properties(n):
         assert eval_circuit(c, a) == 0
         # at most l-1 omitted pairs touch a zero, so fewer than l gates fire
         zeros = {i + 1 for i, b in enumerate(a.bits) if b == 0}
-        covered = sum(1 for e in omission_graph(c).edges if zeros & set(e))
+        edges = [e for _, comp_edges in omission_components(c) for e in comp_edges]
+        assert len(edges) == n - 2
+        covered = sum(1 for e in edges if zeros & set(e))
         assert covered <= l - 1
 
 

@@ -89,6 +89,18 @@ def test_eval_bulk_is_exact_past_float64_precision():
     assert compile_circuit(c).layers[0].dtype == np.int64
 
 
+def test_eval_bulk_rejects_entries_other_than_0_and_1():
+    # the packed float32 product carries an entry above 1 into the next
+    # sum's digit: all 2s give layer-1 sums of 0 and 513, not 512 each
+    plan = compile_circuit(build_correlation(CorrelationParams(1001, 256, 3)))
+    twos = np.full((1, 1001), 2, dtype=np.uint8)
+    assert np.unique(verify._sums(plan.layers[0], twos)).tolist() == [0, 513]
+    for bad in (twos, np.full((1, 1001), -1), np.full((1, 1001), 0.5)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            eval_bulk(plan, bad)
+    assert eval_bulk(plan, np.ones((1, 1001), dtype=bool)).tolist() == [1]
+
+
 # Weight ranges whose largest fan-in plus one (at most 6 inputs) falls in
 # each arithmetic tier: float32, int64 and Python integers.  The int64 range
 # spans 2^53, past which float64 sums would round.
@@ -906,6 +918,15 @@ def test_class_compression_rule():
     # variables no gate reads form one class of their own
     idle = LayeredCircuit(n=16, k=2, layers=((ThresholdGate(((0, 1), (1, 1)), 1),),), top=0)
     assert compile_circuit(idle).sizes.tolist() == [2, 14]
+
+
+def test_eval_counts_rejects_counts_outside_the_class_sizes():
+    plan = compile_circuit(build_depth3(Depth3Params(b=2)))
+    assert plan.sizes.tolist() == [8, 8]
+    for bad in ([9, 0], [0, -1]):
+        with pytest.raises(ValueError, match="class sizes"):
+            eval_counts(plan, np.array([[8, 8], bad]))
+    assert eval_counts(plan, np.array([[8, 8], [0, 0]])).tolist() == [1, 0]
 
 
 def class_members(c: LayeredCircuit) -> list[list[int]]:
