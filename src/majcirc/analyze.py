@@ -273,9 +273,11 @@ def boundary_size(tt: Sequence[int] | np.ndarray, l: int) -> int:
     """
     if l > BRUTE_FORCE_CAP:
         raise CapExceeded(f"l={l} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    tt = np.asarray(tt, dtype=np.uint8)
+    tt = np.asarray(tt)
     if tt.shape != (2**l,):
         raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")
+    if not ((tt == 0) | (tt == 1)).all():
+        raise ValueError("truth table entries must be 0 or 1")
     idx = np.arange(2**l, dtype=np.uint64)
     total = 0
     for i in range(l):

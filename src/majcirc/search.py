@@ -42,9 +42,9 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, starmap
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,18 +193,16 @@ class SearchSpaceSpec:
         return standard_theta(self.k)
 
 
-def _critical_layers(n: int) -> list[tuple[np.ndarray, int]]:
-    """(ones, required output) per critical weight layer: the minterms
-    (weight ceil(n/2), output 1), then the maxterms (one lighter, output
-    0).  ones holds each input's one-positions as a row, in combinations
-    order."""
-    out = []
+def _critical_layers(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(ones, required output) per critical weight layer, made one layer
+    at a time: the minterms (weight ceil(n/2), output 1), then the
+    maxterms (one lighter, output 0).  ones holds each input's
+    one-positions as a row, in combinations order, in the least unsigned
+    dtype that holds n - 1."""
     for w, value in ((majority_threshold(n), 1), (majority_threshold(n) - 1, 0)):
-        count = math.comb(n, w)
         flat = chain.from_iterable(combinations(range(n), w))
-        ones = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
-        out.append((ones, value))
-    return out
+        count = math.comb(n, w)
+        yield np.fromiter(flat, np.min_scalar_type(n - 1), count * w).reshape(count, w), value
 
 
 # -- CNF construction -------------------------------------------------------
@@ -716,9 +714,8 @@ def _thresholds(spec: SearchSpaceSpec) -> Sequence[int]:
     return (spec.theta,) if spec.standard_thresholds else range(1, spec.k + 1)
 
 
-def estimate_space(spec: SearchSpaceSpec) -> int:
-    """Number of non-decreasing k-tuples of candidate gates, without
-    enumerating them.
+def _candidate_count(spec: SearchSpaceSpec) -> int:
+    """Number of candidate gates, rows times the thresholds each may carry.
 
     The rows, vectors in {0..m}^n summing to k, are counted by
     inclusion-exclusion over the j coordinates forced above m:
@@ -729,7 +726,12 @@ def estimate_space(spec: SearchSpaceSpec) -> int:
         (-1) ** j * math.comb(n, j) * math.comb(k - j * (m + 1) + n - 1, n - 1)
         for j in range(min(n, k // (m + 1)) + 1)
     )
-    return math.comb(rows * len(_thresholds(spec)) + k - 1, k)
+    return rows * len(_thresholds(spec))
+
+
+def estimate_space(spec: SearchSpaceSpec) -> int:
+    """Number of non-decreasing k-tuples of candidate gates."""
+    return math.comb(_candidate_count(spec) + spec.k - 1, spec.k)
 
 
 def exhaustive_search(
@@ -750,23 +752,19 @@ def exhaustive_search(
     order as testing one child at a time.  The first complete candidate
     that verifies on all inputs is returned.
     """
-    est = estimate_space(spec)
-    if est > space_cap:
-        raise SpaceTooLarge(
-            f"search space estimated at {est} candidates, over the cap {space_cap}",
-            est,
-        )
     n, k = spec.n, spec.k
-    cands = [(vec, t) for vec in _candidate_rows(spec) for t in _thresholds(spec)]
-    if not cands:
+    # sized before anything is built: the k-tuples, then a firing table row
+    # per critical input, C(n, w) + C(n, w - 1) = C(n + 1, w), x candidates
+    count = _candidate_count(spec)
+    for size, what in (
+        (estimate_space(spec), "search space estimated at {} candidates"),
+        (math.comb(n + 1, majority_threshold(n)) * count, "critical-input tables of {} cells"),
+    ):
+        if size > space_cap:
+            raise SpaceTooLarge(f"{what.format(size)}, over the cap {space_cap}", size)
+    if not count:
         return None
-    # a row per critical input, C(n, w) + C(n, w - 1) = C(n + 1, w) of
-    # them, and an inputs x candidates firing table per critical layer
-    cells = math.comb(n + 1, majority_threshold(n)) * len(cands)
-    if cells > space_cap:
-        raise SpaceTooLarge(
-            f"critical-input tables of {cells} cells, over the cap {space_cap}", cells
-        )
+    cands = [(vec, t) for vec in _candidate_rows(spec) for t in _thresholds(spec)]
 
     # [i, c]: candidate c's multiplicity of variable i, in the dtype of k,
     # which holds any candidate's count on an input
@@ -774,7 +772,7 @@ def exhaustive_search(
     mults = np.array([vec for vec, _ in cands], dtype=dtype).T.copy()
     thetas = np.array([t for _, t in cands], dtype=dtype)
 
-    def fires(ones: np.ndarray) -> np.ndarray:
+    def fires(ones: np.ndarray, _: int) -> np.ndarray:
         """[a, c] is True when candidate c fires on critical input a.  The
         counts are summed one one-position column at a time, as rows per
         input, which recurse selects."""
@@ -783,7 +781,8 @@ def exhaustive_search(
             counts += mults[col]
         return counts >= thetas
 
-    fires_min, fires_max = (fires(ones) for ones, _ in _critical_layers(n))
+    # starmap drops each layer's positions once its table is built
+    fires_min, fires_max = starmap(fires, _critical_layers(n))
     theta = spec.theta
     chosen: list[int] = []
 

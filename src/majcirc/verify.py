@@ -36,7 +36,8 @@ are kept instead, looked up by binary search.  Layers whose gates each
 have a support of their own (published, correlation) hand up 0/1 outputs.
 
 Variables whose weight columns into layer 1 are identical form a variable
-class; only the number of ones in each class matters to the circuit.  When
+class; only the number of ones in each class matters to the circuit, and
+every plan compiles layer 1 over class counts as well (eval_counts).  When
 the classes compress, i.e. a count row is no larger than a bit row
 (8 * C <= n for C classes), sampled verify_minmax draws each chunk's class
 counts directly: a multivariate hypergeometric draw, exactly uniform over
@@ -183,14 +184,14 @@ class Plan:
     Variables with identical weight columns into layer 1 form a class,
     classes numbered in order of their first variable; sizes[j] is the size
     of class j.  classes is layer 1 reading class counts in place of bits;
-    it is set only when the classes compress (8 * len(sizes) <= n).
+    when every class is one variable, counts are bits and it is layers[0].
     """
 
     n: int
     top: int
     layers: tuple[LayerPlan, ...]
     sizes: np.ndarray
-    classes: LayerPlan | None
+    classes: LayerPlan
 
 
 def _sum_form(entries: tuple, columns: int, width: int, dtype: np.dtype, top: int) -> dict:
@@ -312,8 +313,8 @@ def compile_circuit(c: LayeredCircuit) -> Plan:
         layers.append(_compile_layer(gates, len(lower), layers[-1])[0])
     class_of, leaders = _classes(c.n, entries)
     sizes = np.bincount(class_of, minlength=len(leaders))
-    classes = None
-    if _CLASS_COMPRESSION * len(leaders) <= c.n:
+    classes = first
+    if len(leaders) < c.n:
         # every member of a class sits in the same supports with the same
         # weight, so a support's sum is its classes' counts times weights:
         # the entries of each class's first variable, renamed to the class
@@ -399,11 +400,8 @@ def eval_bulk(c: LayeredCircuit | Plan, bits: np.ndarray) -> np.ndarray:
 def eval_counts(plan: Plan, counts: np.ndarray) -> np.ndarray:
     """Top-gate outputs for a (m, C) matrix of ones per variable class.
 
-    Equal to eval_bulk on any bit row with those counts.  Only for plans
-    whose classes compress.
+    Equal to eval_bulk on any bit row with those counts.
     """
-    if plan.classes is None:
-        raise ValueError("the circuit's variable classes do not compress")
     if counts.ndim != 2 or counts.shape[1] != len(plan.sizes):
         raise ValueError(f"expected a (m, {len(plan.sizes)}) count matrix, got {counts.shape}")
     if not ((counts >= 0) & (counts <= plan.sizes)).all():
@@ -539,7 +537,7 @@ def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
         rows = words.astype("<u8", copy=False).view(np.uint8)[:size]
         rows >>= 7
         rows = rows.reshape(hi - lo, plan.n)
-    elif plan.classes is not None:
+    elif _CLASS_COMPRESSION * len(plan.sizes) <= plan.n:
         rows, first = sample_class_counts(plan.sizes, w, hi - lo, seed, index), plan.classes
     else:
         rows = sample_layer_chunk(plan.n, w, hi - lo, seed, index)

@@ -238,6 +238,11 @@ def test_pmf_scaling_probe_validation():
         pmf_scaling_probe([])
     with pytest.raises(ValueError):
         pmf_scaling_probe([4], c=Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"^kk must be positive, got 0$"):
+        pmf_scaling_probe([4, 0])
+    # m = 4 and c = 1/3: c*m = 4/3 draws
+    with pytest.raises(ValueError, match=r"^t_draws = c\*m must be an integer, got 1/3\*4$"):
+        pmf_scaling_probe([1], c=Fraction(1, 3))
 
 
 def test_pmf_scaling_is_flat_in_normalized_units():
@@ -342,9 +347,22 @@ def test_boundary_brute_force_cap():
         boundary_size(np.zeros(2, dtype=np.uint8), BRUTE_FORCE_CAP + 1)
 
 
+@pytest.mark.parametrize(
+    "tt", [[1, 2], np.array([256, 0]), np.array([0.5, 1.0]), [-1, 1]], ids=["2", "256", "half", "-1"]
+)
+def test_boundary_and_influence_reject_tables_that_are_not_boolean(tt):
+    # a uint8 cast read these as 2, a constant table, 2 and an OverflowError
+    for fn in (boundary_size, influence):
+        with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
+            fn(tt, 1)
+    assert boundary_size([True, False], 1) == 2
+
+
 def test_closed_forms_reject_even_n():
     with pytest.raises(ValueError):
         majority_boundary_closed(4)
+    with pytest.raises(ValueError, match="^closed form applies to odd l$"):
+        majority_influence_closed(4)
 
 
 # -- kill costs --------------------------------------------------------------
@@ -487,6 +505,9 @@ def test_walk_preconditions():
         walk(c, Assignment((1, 1, 0, 0, 0, 0, 1)), WalkConfig(1, 1, 7, (0,)))
     with pytest.raises(ValueError, match="does not read x4"):
         walk(c, good, WalkConfig(1, 1, 4, (0,)))
+    for x_star in (0, 8):
+        with pytest.raises(ValueError, match=rf"^x_star={x_star} out of range 1\.\.7$"):
+            walk(c, good, WalkConfig(1, 1, x_star, (0,)))
     with pytest.raises(ValueError, match="g_star"):
         walk(c, good, WalkConfig(1, 1, 7, ()))
     with pytest.raises(ValueError, match="out of range"):

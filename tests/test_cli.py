@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,17 @@ def test_search_exhaustive_refuses_critical_tables_past_the_cap(n, capsys):
     assert len(err) == 1 and err[0].startswith("cap exceeded: critical-input tables")
 
 
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_search_exhaustive_refuses_a_large_n_at_once(n, capsys):
+    # sized before the O(n^3) candidate rows are built: 4.4 s at n=1000
+    # and no answer in 60 s at n=3000 when they came first
+    start = time.perf_counter()
+    assert main(["search", "--engine", "exhaustive", "--n", str(n), "--k", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cap exceeded: critical-input tables of ")
+
+
 def test_search_exhaustive_empty_space(capsys):
     rc = main(
         ["search", "--engine", "exhaustive", "--n", "3", "--k", "1",
@@ -487,6 +499,12 @@ def test_analyze_hypergeom_scaling(capsys):
 def test_analyze_hypergeom_empty_scaling_grid(capsys):
     assert main(["analyze", "hypergeom", "--scaling", ","]) == 2
     assert capsys.readouterr().err == "error: k_grid must not be empty\n"
+
+
+@pytest.mark.parametrize("argv", [["hypergeom", "--scaling", "4,x"], ["binomial", "--grid", "8,,1.5"]])
+def test_analyze_rejects_a_bad_integer_grid(argv, capsys):
+    assert main(["analyze", *argv]) == 2
+    assert capsys.readouterr().err == f"usage error: argument {argv[1]}: bad integer grid {argv[2]!r}\n"
 
 
 def test_analyze_hypergeom_needs_arguments(capsys):

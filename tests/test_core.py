@@ -17,6 +17,7 @@ from majcirc.core import (
     CircuitParseError,
     CircuitStats,
     LayeredCircuit,
+    MAX_VARS,
     ThresholdGate,
     eval_circuit,
     eval_gate,
@@ -366,6 +367,18 @@ def test_circuit_checks_each_distinct_support_after_shared_ones():
         LayeredCircuit(n=4, k=3, layers=(below, (ok.with_theta(1),), (ok,)), top=0)
 
 
+def test_circuit_rejects_n_k_and_depth_out_of_range():
+    g = majority_gate([0])
+    for n in (0, MAX_VARS + 1):
+        with pytest.raises(CircuitError, match=rf"^variable count {n} out of range 1\.\.{MAX_VARS}$"):
+            LayeredCircuit(n=n, k=1, layers=((g,),), top=0)
+    with pytest.raises(CircuitError, match=r"^fan-in bound 0 must be positive$"):
+        LayeredCircuit(n=1, k=0, layers=((g,),), top=0)
+    for layers in ((), ((g,), (g,), (g,), (g,))):
+        with pytest.raises(CircuitError, match=rf"^depth {len(layers)} out of range 1\.\.3$"):
+            LayeredCircuit(n=1, k=1, layers=layers, top=0)
+
+
 def test_circuit_rejects_bad_top_and_empty_layer():
     g = majority_gate([0])
     with pytest.raises(CircuitError, match="top"):
@@ -501,6 +514,30 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(CircuitParseError) as err:
         parse_circuit(text)
     assert err.value.line == line
+
+
+_ONE_GATE = "majcirc 1\nn 1 k 1 depth 1\n"
+_THREE_LAYERS = "majcirc 1\nn 1 k 1 depth 3\ngate 1:0 theta 1 : x1*1\ngate 2:0 theta 1 : g1:0*1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,reason",
+    [
+        ("majcirc 1\n", 1, "missing header line"),
+        (_ONE_GATE + "gate 1:0 theta x : x1*1\ntop g1:0\n", 3, "bad gate line 'gate 1:0 theta x : x1*1'"),
+        (_ONE_GATE + "gate 1:0 theta 1 : x1*1\ntop 1:0\n", 4, "bad top line 'top 1:0'"),
+        (_ONE_GATE + "gate 1:0 theta 1 : y1*1\ntop g1:0\n", 3, "bad input reference 'y1*1'"),
+        (_ONE_GATE + "gate 1:0 theta 1 : g1:0*1\ntop g1:0\n", 3, "layer 1 gate may only reference variables"),
+        (_THREE_LAYERS + "gate 3:0 theta 1 : g1:0*1\ntop g3:0\n", 5, "layer 3 gate may only reference layer 2 gates"),
+        (_THREE_LAYERS + "gate 3:0 theta 1 : x1*1\ntop g3:0\n", 5, "layer 3 gate may only reference layer 2 gates"),
+        (_THREE_LAYERS + "gate 3:0 theta 1 : g2:0*1\ntop g2:0\n", 6, "top must name a layer 3 gate"),
+    ],
+    ids=["header", "gate", "top", "reference", "layer1", "layer3", "layer3-variable", "top-layer"],
+)
+def test_parse_errors_name_their_check(text, line, reason):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
 
 
 def test_parse_reports_a_repeated_bad_body_on_its_first_line():

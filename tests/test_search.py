@@ -1,6 +1,7 @@
 """CNF and exhaustive search over gate spaces, plus the fooling adversary."""
 
 import hashlib
+import inspect
 import math
 import tempfile
 import time
@@ -163,6 +164,21 @@ def test_space_cap_bounds_the_critical_input_tables(n, monkeypatch):
     assert err.value.estimate == math.comb(n + 1, majority_threshold(n)) * n
 
 
+def test_space_cap_refuses_before_building_candidates_or_tables(monkeypatch):
+    # the refusal comes from closed-form counts: at n=3000, k=1, building
+    # the candidate rows first (O(n^3)) gave no answer in 60 s
+    def not_built(arg):
+        raise AssertionError("candidates or critical-input tables built past the cap")
+
+    monkeypatch.setattr("majcirc.search._candidate_rows", not_built)
+    monkeypatch.setattr("majcirc.search._critical_layers", not_built)
+    start = time.perf_counter()
+    with pytest.raises(SpaceTooLarge, match="^critical-input tables of [0-9]+ cells, over the cap 1000000000$") as err:
+        exhaustive_search(SearchSpaceSpec(n=3000, k=1))
+    assert time.perf_counter() - start < 0.5
+    assert err.value.estimate == math.comb(3001, 1500) * 3000
+
+
 def test_critical_input_cells_meet_the_cap_exactly():
     # n=5, k=1: C(6, 3) = 20 critical inputs times 5 candidates
     spec = SearchSpaceSpec(n=5, k=1)
@@ -258,6 +274,18 @@ def test_critical_layers_are_the_minterms_then_the_maxterms():
         assert maxs.tolist() == [list(c) for c in combinations(range(n), w - 1)]
         assert mins.shape == (math.comb(n, w), w)
         assert maxs.shape == (math.comb(n, w - 1), w - 1)
+
+
+def test_critical_layers_come_one_at_a_time_one_byte_per_position():
+    # a generator builds nothing before a layer is read: C(40, 20) rows
+    # would not fit
+    assert inspect.isgenerator(_critical_layers(40))
+    layers = _critical_layers(9)
+    mins, _ = next(layers)
+    assert mins.dtype == np.uint8 and mins.shape == (126, 5)
+    maxs, _ = next(layers)
+    assert maxs.dtype == np.uint8 and maxs.shape == (126, 4)
+    assert next(layers, None) is None
 
 
 def test_decode_rejects_wrong_row_weight():

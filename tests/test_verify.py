@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -42,6 +43,7 @@ from majcirc.core import (
 )
 from majcirc.verify import (
     CapExceeded,
+    VerificationReport,
     _chunks,
     _rows,
     compile_circuit,
@@ -99,6 +101,9 @@ def test_eval_bulk_rejects_entries_other_than_0_and_1():
         with pytest.raises(ValueError, match="0 or 1"):
             eval_bulk(plan, bad)
     assert eval_bulk(plan, np.ones((1, 1001), dtype=bool)).tolist() == [1]
+    for shape in ((1001,), (1, 1000), (1, 1, 1001)):
+        with pytest.raises(ValueError, match=rf"^expected a \(m, 1001\) bit matrix, got {re.escape(str(shape))}$"):
+            eval_bulk(plan, np.zeros(shape, dtype=np.uint8))
 
 
 # Weight ranges whose largest fan-in plus one (at most 6 inputs) falls in
@@ -661,6 +666,16 @@ def test_verify_minmax_sampled_sees_errors():
 def test_verify_minmax_exact_cap():
     with pytest.raises(CapExceeded, match="sampled mode"):
         verify_minmax(single_majority(24), cap=10**4)
+    # C(65, 33) + C(65, 32), about 7.2e18 rows, under a cap of 1e19
+    with pytest.raises(CapExceeded, match="^exact layer enumeration supports n up to 64$"):
+        verify_minmax(single_majority(65), cap=10**19)
+
+
+def test_truth_table_cap_and_the_empty_report():
+    with pytest.raises(CapExceeded, match=r"^n=31 exceeds the exhaustive cap 30; use verify_minmax"):
+        truth_table(single_majority(31))
+    with pytest.raises(ValueError, match="^empty report has no agreement rate$"):
+        VerificationReport("sample", 0, 0).agreement
 
 
 def test_verify_minmax_exact_memory_stays_per_chunk():
@@ -785,7 +800,9 @@ def reference_compile_layer(gates, width: int, below):
 
 def reference_compile(c: LayeredCircuit):
     """compile_circuit from per-entry Python loops: variable columns as
-    tuples of (support, weight) pairs, classes numbered by first variable."""
+    tuples of (support, weight) pairs, classes numbered by first variable.
+    The class form is built for every circuit; when every class is one
+    variable it equals layer 1, which compile_circuit uses itself."""
     first, sigs, top = reference_compile_layer(c.layers[0], c.n, None)
     layers = [first]
     for lower, gates in zip(c.layers, c.layers[1:]):
@@ -797,13 +814,11 @@ def reference_compile(c: LayeredCircuit):
     ids: dict[tuple, int] = {}
     class_of = [ids.setdefault(tuple(col), len(ids)) for col in var_columns]
     sizes = np.bincount(class_of, minlength=len(ids))
-    classes = None
-    if 8 * len(ids) <= c.n:
-        class_sigs: list[list[tuple[int, int]]] = [[] for _ in sigs]
-        for cls, col in enumerate(ids):
-            for j, w in col:
-                class_sigs[j].append((cls, w))
-        classes = dataclasses.replace(first, **reference_sum_form(class_sigs, len(ids), first.dtype, top))
+    class_sigs: list[list[tuple[int, int]]] = [[] for _ in sigs]
+    for cls, col in enumerate(ids):
+        for j, w in col:
+            class_sigs[j].append((cls, w))
+    classes = dataclasses.replace(first, **reference_sum_form(class_sigs, len(ids), first.dtype, top))
     return verify.Plan(c.n, c.top, tuple(layers), sizes, classes)
 
 
@@ -905,16 +920,22 @@ def test_eval_counts_memory_stays_per_support():
 
 def test_class_compression_rule():
     block = compile_circuit(build_block_circuit(default_block_params(4096)))
-    assert block.sizes.tolist() == [256] * 16 and block.classes is not None
+    assert block.sizes.tolist() == [256] * 16 and block.classes is not block.layers[0]
     depth3 = compile_circuit(build_depth3(Depth3Params(b=3)))
-    assert depth3.sizes.tolist() == [18] * 3 and depth3.classes is not None
-    # the published circuits read every variable differently
+    assert depth3.sizes.tolist() == [18] * 3 and depth3.classes is not depth3.layers[0]
+    # the published circuits read every variable differently: one variable
+    # per class, so the class layer is layer 1 and counts are bits
     n9 = compile_circuit(published_circuit("n9"))
-    assert len(n9.sizes) == 9 and n9.classes is None
-    corr = compile_circuit(build_correlation(CorrelationParams(n=41, k=9, seed=3)))
-    assert 8 * len(corr.sizes) > 41 and corr.classes is None
-    with pytest.raises(ValueError, match="do not compress"):
-        eval_counts(n9, np.zeros((1, 9), dtype=np.int64))
+    assert n9.sizes.tolist() == [1] * 9 and n9.classes is n9.layers[0]
+    bits = np.array([[1, 1, 1, 1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0, 0, 0]])
+    assert eval_counts(n9, bits).tolist() == eval_bulk(n9, bits).tolist() == [1, 0]
+    # 32 classes do not compress (8 * 32 > 41): the class layer is
+    # compiled, but sampling draws bit rows
+    c = build_correlation(CorrelationParams(n=41, k=9, seed=3))
+    corr = compile_circuit(c)
+    assert len(corr.sizes) == 32 and corr.classes is not corr.layers[0]
+    with mock.patch("majcirc.verify.sample_class_counts", side_effect=AssertionError):
+        assert verify_minmax(c, samples=100, seed=2).total_checked == 200
     # variables no gate reads form one class of their own
     idle = LayeredCircuit(n=16, k=2, layers=((ThresholdGate(((0, 1), (1, 1)), 1),),), top=0)
     assert compile_circuit(idle).sizes.tolist() == [2, 14]
@@ -927,6 +948,9 @@ def test_eval_counts_rejects_counts_outside_the_class_sizes():
         with pytest.raises(ValueError, match="class sizes"):
             eval_counts(plan, np.array([[8, 8], bad]))
     assert eval_counts(plan, np.array([[8, 8], [0, 0]])).tolist() == [1, 0]
+    for shape in ((2,), (1, 3)):
+        with pytest.raises(ValueError, match=rf"^expected a \(m, 2\) count matrix, got {re.escape(str(shape))}$"):
+            eval_counts(plan, np.zeros(shape, dtype=np.int64))
 
 
 def class_members(c: LayeredCircuit) -> list[list[int]]:
@@ -974,12 +998,13 @@ def weighted_block_circuit() -> LayeredCircuit:
         build_depth3(Depth3Params(b=2)),
         build_depth3(Depth3Params(b=3)),
         weighted_block_circuit(),
+        published_circuit("n9"),
+        build_correlation(CorrelationParams(n=41, k=9, seed=3)),
     ],
-    ids=["block64-window2", "depth3-b2", "depth3-b3", "weighted-blocks"],
+    ids=["block64-window2", "depth3-b2", "depth3-b3", "weighted-blocks", "n9", "corr41"],
 )
 def test_class_counts_evaluate_like_their_bit_rows(circuit):
     plan = compile_circuit(circuit)
-    assert plan.classes is not None
     assert [len(m) for m in class_members(circuit)] == plan.sizes.tolist()
     rng = np.random.default_rng(0)
     w_min = majority_threshold(circuit.n)
