@@ -192,8 +192,7 @@ def _cmd_decode(args) -> int:
     if model is None:
         print("model file holds an unsatisfiable verdict", file=sys.stderr)
         return EXIT_UNSAT
-    instance = search.encode(spec, clause_cap=args.clause_cap)
-    return _write_circuit(search.decode(instance, model), args)
+    return _write_circuit(search.decode(search.variable_map(spec), model), args)
 
 
 def _cmd_fool(args) -> int:

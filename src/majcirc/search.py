@@ -44,7 +44,7 @@ import tempfile
 from dataclasses import dataclass
 from itertools import chain, combinations, product, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +62,8 @@ DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
 # clause rows formatted per write in CnfInstance.write_dimacs
 _DIMACS_BATCH = 2**16
+# count cells summed at a time while exhaustive_search fills a firing table
+_TABLE_BLOCK = 2**16
 
 
 @functools.cache
@@ -383,6 +385,26 @@ class CnfInstance:
                 fh.write(f"t {var} g {g} q {q}\n")
 
 
+class VariableMap(NamedTuple):
+    """The CNF variables that describe a circuit of the space, sel and thr
+    as in CnfInstance: all that decode reads of an encoding."""
+
+    spec: SearchSpaceSpec
+    sel: dict[tuple[int, int, int], int]
+    thr: dict[tuple[int, int], int]
+
+
+def variable_map(spec: SearchSpaceSpec) -> VariableMap:
+    """The variable map of encode(spec), built without any clause: the
+    selectors first, so the varmap occupies the low ids, then the
+    threshold levels."""
+    n, k, mult = spec.n, spec.k, spec.multiplicity_max
+    sel = {key: v for v, key in enumerate(product(range(k), range(n), range(1, mult + 1)), 1)}
+    levels = () if spec.standard_thresholds else product(range(k), range(1, k + 1))
+    thr = {key: v for v, key in enumerate(levels, len(sel) + 1)}
+    return VariableMap(spec, sel, thr)
+
+
 def estimate_clauses(spec: SearchSpaceSpec) -> int:
     """Upper estimate of the clause count encode would produce."""
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
@@ -414,11 +436,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             f"encoding estimated at {est} clauses, over the cap {clause_cap}", est
         )
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
-
-    # selector variables first so the varmap occupies the low ids
-    sel = {key: v for v, key in enumerate(product(range(k), range(n), range(1, mult + 1)), 1)}
-    levels = () if spec.standard_thresholds else product(range(k), range(1, k + 1))
-    thr = {key: v for v, key in enumerate(levels, len(sel) + 1)}
+    _, sel, thr = variable_map(spec)
     b = _CnfBuilder(len(sel) + len(thr))
 
     # multiplicity ladders: carrying level j implies carrying level j-1
@@ -615,8 +633,9 @@ def run_solver(dimacs_path: str | Path, solver: str | None = None) -> tuple[int,
         ) from None
 
 
-def decode(instance: CnfInstance, model: Iterable[int]) -> LayeredCircuit:
-    """Rebuild the circuit a model describes, then verify it.
+def decode(instance: CnfInstance | VariableMap, model: Iterable[int]) -> LayeredCircuit:
+    """Rebuild the circuit a model describes, then verify it; instance is
+    the encoding or its variable_map.
 
     The model must assign every selector (and threshold) variable, the
     multiplicity and threshold ladders must be downward closed, and every
@@ -772,19 +791,33 @@ def exhaustive_search(
     mults = np.array([vec for vec, _ in cands], dtype=dtype).T.copy()
     thetas = np.array([t for _, t in cands], dtype=dtype)
 
+    # critical inputs per block: about _TABLE_BLOCK cells of a table
+    step = max(1, _TABLE_BLOCK // len(cands))
+
     def fires(ones: np.ndarray, _: int) -> np.ndarray:
-        """[a, c] is True when candidate c fires on critical input a.  The
-        counts are summed one one-position column at a time, as rows per
-        input, which recurse selects."""
-        counts = np.zeros((len(ones), len(cands)), dtype=dtype)
-        for col in ones.T:
-            counts += mults[col]
-        return counts >= thetas
+        """[a, c] is True when candidate c fires on critical input a, as
+        rows per input, which recurse selects.  The table is filled one
+        block of inputs at a time, each block's counts summed one
+        one-position column at a time."""
+        table = np.empty((len(ones), len(cands)), dtype=bool)
+        for lo in range(0, len(ones), step):
+            block = ones[lo : lo + step]
+            counts = np.zeros((len(block), len(cands)), dtype=dtype)
+            for col in block.T:
+                counts += mults[col]
+            np.greater_equal(counts, thetas, out=table[lo : lo + step])
+        return table
 
     # starmap drops each layer's positions once its table is built
     fires_min, fires_max = starmap(fires, _critical_layers(n))
     theta = spec.theta
     chosen: list[int] = []
+
+    def blocks(table: np.ndarray, rows: np.ndarray, start: int) -> Iterator[np.ndarray]:
+        """table[rows, start:] for a boolean mask rows, a block at a time,
+        so no copy holds more than a block of the table."""
+        at = np.flatnonzero(rows)
+        return (table[at[lo : lo + step], start:] for lo in range(0, len(at), step))
 
     def recurse(start: int, depth: int, mins: np.ndarray, maxs: np.ndarray):
         """mins, maxs: firing counts of the chosen gates per minterm and
@@ -799,8 +832,11 @@ def exhaustive_search(
         # how far each minterm stays from theta if the k - depth - 1 gates
         # after the child all fire
         short = theta - (k - depth - 1) - mins
-        ok = fires_min[short == 1, start:].all(axis=0)
-        ok &= ~fires_max[maxs == theta - 1, start:].any(axis=0)
+        ok = np.ones(len(cands) - start, dtype=bool)
+        for part in blocks(fires_min, short == 1, start):
+            ok &= part.all(axis=0)
+        for part in blocks(fires_max, maxs == theta - 1, start):
+            ok &= ~part.any(axis=0)
         for c in (np.flatnonzero(ok) + start).tolist():
             chosen.append(c)
             found = recurse(c, depth + 1, mins + fires_min[:, c], maxs + fires_max[:, c])

@@ -64,8 +64,18 @@ the circuit once, runs the jobs inline or in a process pool, at most two
 per worker in flight, and merges their counts in job order; _work makes a
 chunk's rows as its source says (a rank range of an exhaustive sweep,
 draws from the weight-w layer, or uniform bits), then evaluates and
-tallies them.  An exhaustive job decodes its own rank range, so memory
-is O(chunk) whatever the cap.  Each sampled chunk owns its random stream,
+tallies them one row tile at a time and sums the tiles' counts.  A tile
+holds as many rows as keep their float32 cast within _TILE_BYTES (2 MiB:
+520 rows at n = 1001), at least _TILE_FLOOR and a multiple of 8, so rows
+of up to 64 entries (n <= 64 sweeps, block class counts) are one tile per
+chunk.  A job holds one tile's cast at a time; a uniform job makes its
+bits a tile at a time too, so it holds one tile's rows.  It draws each
+tile's words in stream order, and every tile but the last holds a
+multiple of 8 bytes, so the cuts fall on word boundaries: the bits are
+those of one draw for the chunk, and reports do not depend on tiling.
+Sampled and exhaustive jobs make the chunk's rows as one array and slice
+it.  An exhaustive job decodes its own rank range, so memory is O(chunk)
+whatever the cap.  Each sampled chunk owns its random stream,
 derived from the seed and its index, so a report depends only on the
 circuit, the sample count and the seed, never on how many worker
 processes produced it.
@@ -105,6 +115,12 @@ _CLASS_COMPRESSION = 8
 # One table lookup of the rejection class draw costs about this many steps
 # of numpy's Fisher-Yates class draw.
 _REJECTION_COST = 4
+
+# A chunk is evaluated in row tiles whose float32 cast takes at most
+# _TILE_BYTES, so a tile's rows, cast and product stay in cache; the floor
+# keeps each BLAS product long enough to run at speed on wide rows.
+_TILE_BYTES = 2**21
+_TILE_FLOOR = 512
 
 # Arithmetic by the largest value a layer compares: integers are exact up
 # to 2^24 in float32, whose products run on BLAS.  Every term of a sum is
@@ -500,7 +516,8 @@ class VerificationReport:
 def _tally(rows: np.ndarray, outs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked and wrong counts by weight; rows are bits or class counts,
     so either way a row's sum is its input weight."""
-    weights = rows.sum(axis=1, dtype=np.int64)
+    # a row sums to at most n, so the narrowest type holding n is exact
+    weights = rows.sum(axis=1, dtype=np.min_scalar_type(n))
     truth = weights >= majority_threshold(n)
     wrong = outs.astype(bool) != truth
     checked = np.bincount(weights, minlength=n + 1)
@@ -520,28 +537,52 @@ def _pool_init(ctx: dict) -> None:
     _WORK_CTX.update(ctx)
 
 
-def _work(job: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Checked and wrong counts by weight of the hi - lo rows of one chunk:
-    "rows" unranks rows lo..hi-1 of the 2^n inputs (w None) or of the
-    weight-w layer, "layer" draws from the weight-w layer (class counts
-    when the classes compress, else bits), "uniform" draws uniform bits."""
+def _tile_rows(width: int) -> int:
+    """Rows per tile for rows of `width` entries: as many as keep their
+    float32 cast (4 bytes an entry) within _TILE_BYTES, at least
+    _TILE_FLOOR, rounded down to a multiple of 8 so that a tile of uniform
+    bits ends on a word boundary of its stream."""
+    return max(_TILE_FLOOR, _TILE_BYTES // (4 * width)) // 8 * 8
+
+
+def _uniform_tiles(bits, count: int, n: int) -> Iterator[np.ndarray]:
+    """count rows of n uniform bits from the bit generator, one tile at a
+    time: the top bit of each little-endian byte of its words.  Every tile
+    but the last holds a multiple of 8 bytes, so the tiles read the words
+    one draw of all count * n bytes would read."""
+    step = _tile_rows(n)
+    for lo in range(0, count, step):
+        m = min(step, count - lo)
+        rows = bits.random_raw(-(-m * n // 8)).astype("<u8", copy=False).view(np.uint8)[: m * n]
+        rows >>= 7
+        yield rows.reshape(m, n)
+
+
+def _work(job: tuple) -> np.ndarray:
+    """Checked and wrong counts by weight, as rows 0 and 1, of the hi - lo
+    rows of one chunk: "rows" unranks rows lo..hi-1 of the 2^n inputs (w
+    None) or of the weight-w layer, "layer" draws from the weight-w layer
+    (class counts when the classes compress, else bits), "uniform" draws
+    uniform bits.  The rows are evaluated and tallied one tile at a time;
+    uniform bits are also drawn a tile at a time."""
     source, w, index, lo, hi = job
     plan, seed = _WORK_CTX["plan"], _WORK_CTX["seed"]
     first = plan.layers[0]
-    if source == "rows":
-        rows = _rows(plan.n, w, lo, hi)
-    elif source == "uniform":
-        # the top bit of each little-endian byte of the stream's words
-        size = (hi - lo) * plan.n
-        words = philox(seed, "agreement", plan.n, index).bit_generator.random_raw(-(-size // 8))
-        rows = words.astype("<u8", copy=False).view(np.uint8)[:size]
-        rows >>= 7
-        rows = rows.reshape(hi - lo, plan.n)
-    elif _CLASS_COMPRESSION * len(plan.sizes) <= plan.n:
-        rows, first = sample_class_counts(plan.sizes, w, hi - lo, seed, index), plan.classes
+    if source == "uniform":
+        tiles = _uniform_tiles(philox(seed, "agreement", plan.n, index).bit_generator, hi - lo, plan.n)
     else:
-        rows = sample_layer_chunk(plan.n, w, hi - lo, seed, index)
-    return _tally(rows, _run(plan, rows, first), plan.n)
+        if source == "rows":
+            rows = _rows(plan.n, w, lo, hi)
+        elif _CLASS_COMPRESSION * len(plan.sizes) <= plan.n:
+            rows, first = sample_class_counts(plan.sizes, w, hi - lo, seed, index), plan.classes
+        else:
+            rows = sample_layer_chunk(plan.n, w, hi - lo, seed, index)
+        step = _tile_rows(rows.shape[1])
+        tiles = (rows[t : t + step] for t in range(0, len(rows), step))
+    counts = np.zeros((2, plan.n + 1), dtype=np.int64)
+    for tile in tiles:
+        counts += _tally(tile, _run(plan, tile, first), plan.n)
+    return counts
 
 
 def _check(

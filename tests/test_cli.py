@@ -394,6 +394,21 @@ def test_decode_from_model_file(tmp_path, capsys):
     assert verify_all(c).errors == 0
 
 
+def test_decode_builds_no_clause_so_the_clause_cap_does_not_apply(tmp_path, capsys):
+    # every gate carries each variable once
+    sel = search.variable_map(search.SearchSpaceSpec(n=3, k=3)).sel
+    model = tmp_path / "model.txt"
+    model.write_text("v " + " ".join(str(v if j == 1 else -v) for (_, _, j), v in sel.items()) + " 0\n")
+    argv = ["decode", "--n", "3", "--k", "3", "--model", str(model)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    # the encoding is estimated at 789 clauses
+    assert main(["--clause-cap", "1", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert out == text and err == ""
+    assert verify_all(parse_circuit(text)).errors == 0
+
+
 def test_decode_unsat_model_file(tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("s UNSATISFIABLE\n")

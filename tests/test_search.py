@@ -56,6 +56,7 @@ from majcirc.search import (
     parse_model_text,
     run_solver,
     solve_spec,
+    variable_map,
 )
 from majcirc.verify import verify_all
 
@@ -383,6 +384,19 @@ def test_dimacs_bytes_are_pinned(kw, digest, num_vars, num_clauses, tmp_path: Pa
     )
 
 
+@pytest.mark.parametrize("kw", [kw for kw, *_ in DIMACS_GOLDEN], ids=GOLDEN_IDS)
+def test_variable_map_is_the_encodings_without_its_clauses(kw, monkeypatch):
+    spec = SearchSpaceSpec(**kw)
+    instance = encode(spec)
+    assert variable_map(spec) == (spec, instance.sel, instance.thr)
+    if spec.n == 7:
+        # the published n7 circuit: gate g carries each variable it lists
+        vectors = [[row.count(i + 1) for i in range(7)] for row in published_rows("n7")]
+        model = full_selector_model(instance, vectors)
+        monkeypatch.setattr("majcirc.search._CnfBuilder", None)  # builds no clause
+        assert decode(variable_map(spec), model) == decode(instance, model)
+
+
 def counter_clauses(length: int, qmax: int) -> int:
     """Exact clause count of the sequential counter over length literals:
     per cell 2 or 3 clauses on the first level, 3 or 4 above it, the larger
@@ -699,6 +713,25 @@ def test_exhaustive_returns_the_first_circuit_in_order(n):
                 assert leaves.call_count == verified, spec
                 found += want is not None
     assert found > 0
+
+
+@pytest.mark.parametrize("block", [1, 300])
+def test_exhaustive_tables_in_blocks_keep_every_result(block, monkeypatch):
+    """Firing tables filled, and their rows read, a few cells at a time
+    (one critical input per block at 1) give the same circuit, or None,
+    after the same leaves as one block per table."""
+    spaces = [
+        SearchSpaceSpec(n=n, k=k, multiplicity_max=mult, standard_thresholds=standard or n > 4)
+        for n in range(1, 6) for k in range(1, n + 1) for mult in (1, 2) for standard in (True, False)
+    ] + [SearchSpaceSpec(n=6, k=4)]
+    results = []
+    for table_block in (None, block):
+        if table_block is not None:
+            monkeypatch.setattr("majcirc.search._TABLE_BLOCK", table_block)
+        with mock.patch("majcirc.search.verify_all", wraps=verify_all) as leaves:
+            results.append([(exhaustive_search(spec), leaves.call_count) for spec in spaces])
+    assert results[0] == results[1]
+    assert any(c is not None for c, _ in results[0]) and any(c is None for c, _ in results[0])
 
 
 @pytest.mark.parametrize("tag", ["n7", "intro7"])

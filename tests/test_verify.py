@@ -1430,19 +1430,89 @@ def test_estimate_agreement_delta_shapes_the_interval():
 def test_uniform_rows_are_numpys_bounded_integers(n):
     # m * n runs over values that are not multiples of 4 or 8
     cases = [(m, index) for m in (1, 3, 7, 1000) for index in (0, 7)]
-    seen = []
+    seen, tiles = [], []
 
     def keep_rows(plan, rows, first):
-        seen.append(rows.copy())
+        tiles.append(rows.copy())
         return np.zeros(len(rows), dtype=np.uint8)
 
     verify._pool_init({"plan": compile_circuit(single_majority(n)), "seed": 11})
     with mock.patch.object(verify, "_run", keep_rows):
         for m, index in cases:
             verify._work(("uniform", None, index, 0, m))
+            # a job evaluates its rows one tile at a time
+            seen.append(np.concatenate(tiles))
+            tiles.clear()
     for rows, (m, index) in zip(seen, cases, strict=True):
         expect = philox(11, "agreement", n, index).integers(0, 2, size=(m, n), dtype=np.uint8)
         assert rows.dtype == np.uint8 and rows.shape == (m, n) and np.array_equal(rows, expect)
+
+
+def whole_chunk_counts(plan, rows, first):
+    """One _tally over a whole chunk, the counts a job's tiles must sum to."""
+    return np.array(verify._tally(rows, verify._run(plan, rows, first), plan.n))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "bit-layer", "rows", "class-layer"])
+def test_tiles_sum_to_one_tally_over_the_chunk(kind, monkeypatch):
+    seed, index, m = 11, 2, verify.DEFAULT_CHUNK
+    if kind in ("uniform", "bit-layer"):
+        plan = compile_circuit(build_correlation(CorrelationParams(n=1001, k=256, seed=3)))
+        first = plan.layers[0]
+        if kind == "uniform":
+            job = ("uniform", None, index, 0, m)
+            rows = philox(seed, "agreement", 1001, index).integers(0, 2, size=(m, 1001), dtype=np.uint8)
+        else:
+            job = ("layer", 501, index, 0, m)
+            rows = sample_layer_chunk(1001, 501, m, seed, index)
+    elif kind == "rows":
+        plan = compile_circuit(build_block_circuit(BlockParams(25, 5, 5)))
+        job, rows, first = ("rows", 13, index, 100, 100 + m), _rows(25, 13, 100, 100 + m), plan.layers[0]
+    else:
+        plan = compile_circuit(build_block_circuit(BlockParams(400, 50, 9)))
+        job, first = ("layer", 200, index, 0, m), plan.classes
+        rows = sample_class_counts(plan.sizes, 200, m, seed, index)
+    width = rows.shape[1]
+    if width <= 64:
+        # narrow rows are one tile at the module's budget; a smaller budget
+        # cuts the chunk into tiles of 1000 rows
+        assert verify._tile_rows(width) >= m
+        monkeypatch.setattr(verify, "_TILE_BYTES", 4 * width * 1000)
+        monkeypatch.setattr(verify, "_TILE_FLOOR", 8)
+    step = verify._tile_rows(width)
+    verify._pool_init({"plan": plan, "seed": seed})
+    seen = []
+    run = verify._run
+    monkeypatch.setattr(verify, "_run", lambda plan, tile, first: seen.append(len(tile)) or run(plan, tile, first))
+    got = verify._work(job)
+    assert seen == [min(step, m - lo) for lo in range(0, m, step)] and len(seen) > 1
+    assert np.array_equal(got, whole_chunk_counts(plan, rows, first))
+
+
+def test_tile_rows_follow_the_row_width():
+    # tiles are whole words of uniform bits, and narrow rows are one tile
+    # per chunk: n <= 64 sweeps and the class counts of block circuits
+    for width in (1, 3, 25, 64, 100, 1001, 4096, 10001, 10**6):
+        assert verify._tile_rows(width) % 8 == 0
+    assert verify._tile_rows(64) >= verify.DEFAULT_CHUNK
+    assert verify._tile_rows(1001) == 520
+    assert verify._tile_rows(10001) == verify._TILE_FLOOR
+
+
+def test_a_uniform_job_holds_one_tile_at_a_time():
+    verify._pool_init(
+        {"plan": compile_circuit(build_correlation(CorrelationParams(n=1001, k=256, seed=3))), "seed": 5}
+    )
+    job = ("uniform", None, 0, 0, verify.DEFAULT_CHUNK)
+    verify._work(job)
+    tracemalloc.start()
+    try:
+        verify._work(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole 8192 x 1001 chunk and its float32 cast take 41 MB
+    assert peak < 8 * 10**6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_estimate_agreement_worker_count_does_not_change_the_report():
