@@ -278,11 +278,10 @@ def boundary_size(tt: Sequence[int] | np.ndarray, l: int) -> int:
         raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")
     if not ((tt == 0) | (tt == 1)).all():
         raise ValueError("truth table entries must be 0 or 1")
-    idx = np.arange(2**l, dtype=np.uint64)
-    total = 0
-    for i in range(l):
-        total += int(np.count_nonzero(tt != tt[idx ^ np.uint64(1 << i)]))
-    return total
+    # the two halves of the cube along axis i: each place they differ is
+    # two sensitive pairs, one from each end
+    halves = (np.moveaxis(tt.reshape((2,) * l), i, 0) for i in range(l))
+    return 2 * sum(int(np.count_nonzero(lo != hi)) for lo, hi in halves)
 
 
 def influence(tt: Sequence[int] | np.ndarray, l: int) -> Fraction:

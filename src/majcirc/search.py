@@ -6,17 +6,18 @@ gates under a fixed standard-majority top gate:
 
 * a CNF encoding handed to a DIMACS SAT solver, external or the built-in
   majcirc.sat (selector variables per gate/variable/multiplicity level,
-  sequential-counter cardinality, unary comparisons per critical input),
-  plus a decoder that rebuilds the circuit from a model, reading every
-  unary ladder one way, and always re-verifies it on all inputs.  Each
-  constraint, the counter's one recurrence too, is written once over
-  constant literals that the clause builder folds away.  Clauses are
-  held as one int32 matrix, a clause per row padded with 0.  The inputs
-  of one critical layer get the same block of clauses up to the
-  selectors they read and where their own variables start, so each layer
-  records one block over placeholder selectors and numpy replicates it;
-  the DIMACS text is built in numpy from fixed-width literal slots, and
-  its bytes are those of building every clause on its own;
+  a sequential counter per threshold gate), plus a decoder that rebuilds
+  the circuit from a model, reading every unary ladder one way, and
+  always re-verifies it on all inputs.  Each constraint, a threshold gate
+  and the counter's one recurrence too, is written once over constant
+  literals that the clause builder folds away: a fixed threshold and the
+  top gate are constant levels.  Clauses are held as one int32 matrix, a
+  clause per row padded with 0.  The inputs of one critical layer get the
+  same block of clauses up to the selectors they read and where their own
+  variables start, so each layer records one block over placeholder
+  selectors and numpy replicates it; the DIMACS text is built in numpy
+  from fixed-width literal slots, and its bytes are those of building
+  every clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
   with minterm/maxterm pruning, all children of a node tested at once on
   the critical inputs one more gate decides.
@@ -167,7 +168,8 @@ class SearchSpaceSpec:
 
     standard_thresholds pins every bottom threshold to ceil(k/2), the
     least integer at least k/2 (standard_theta); switching it off adds the
-    threshold itself (1..k per gate) to the search.  multiplicity_max=1
+    threshold itself (1..k per gate) to the search; the CNF writes a gate
+    once, a fixed threshold as a constant level.  multiplicity_max=1
     forbids repeated variables.  Both engines keep only gate rows in
     lexicographic order, which loses no verdict: the top gate reads each
     bottom gate once, unweighted, so sorting the gates of any circuit
@@ -193,6 +195,11 @@ class SearchSpaceSpec:
     def theta(self) -> int:
         """Top-gate threshold, and every bottom gate's in standard mode."""
         return standard_theta(self.k)
+
+
+def _thresholds(spec: SearchSpaceSpec) -> Sequence[int]:
+    """The thresholds a bottom gate may carry, ascending."""
+    return (spec.theta,) if spec.standard_thresholds else range(1, spec.k + 1)
 
 
 def _critical_layers(n: int) -> Iterator[tuple[np.ndarray, int]]:
@@ -295,6 +302,21 @@ def _at_least(cells: Sequence[int], q: int) -> float:
     """The literal for (at least q counted literals are true), q >= 1:
     cells[q-1] of _counter_cells, and _FALSE past the last cell."""
     return cells[q - 1] if q <= len(cells) else _FALSE
+
+
+def _threshold_gate(
+    b: _CnfBuilder, out: float, lits: Sequence[float], levels: dict[int, float]
+) -> None:
+    """Clauses for out <-> (at least t of lits are true), where levels maps
+    each threshold q the gate may carry, ascending, to the literal (t >= q):
+    variables when t is searched, {t: _TRUE} when it is fixed, which take()
+    folds to out <-> (the counter reaches t).  Lits short of every level
+    never fire and get no counter."""
+    cells = _counter_cells(b, lits, max(levels)) if len(lits) >= min(levels) else []
+    for q, tq in levels.items():
+        fires = _at_least(cells, q)
+        b.add(-out, -tq, fires)  # firing reaches every level up to t
+        b.add(out, -tq, levels.get(q + 1, _FALSE), -fires)  # t = q, sum short: silent
 
 
 def _counter_cost(length: int, qmax: int) -> int:
@@ -405,6 +427,11 @@ def variable_map(spec: SearchSpaceSpec) -> VariableMap:
     return VariableMap(spec, sel, thr)
 
 
+def _levels(vm: CnfInstance | VariableMap, g: int) -> dict[int, float]:
+    """Gate g's levels for _threshold_gate: variables, or _TRUE if fixed."""
+    return {q: vm.thr.get((g, q), _TRUE) for q in _thresholds(vm.spec)}
+
+
 def estimate_clauses(spec: SearchSpaceSpec) -> int:
     """Upper estimate of the clause count encode would produce."""
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
@@ -413,12 +440,10 @@ def estimate_clauses(spec: SearchSpaceSpec) -> int:
     est += k * (_counter_cost(length, k + 1) + 2)  # exactly-k
     if not spec.standard_thresholds:
         est += k * k  # threshold ladders and floor units
+    thresholds = _thresholds(spec)
     for w in (majority_threshold(n), majority_threshold(n) - 1):
-        count = math.comb(n, w)
-        r = w * mult
-        qmax = spec.theta if spec.standard_thresholds else min(k, r)
-        per_gate = _counter_cost(r, qmax) + (2 if spec.standard_thresholds else 2 * k)
-        est += count * (k * per_gate + _counter_cost(k, spec.theta) + 1)
+        per_gate = _counter_cost(w * mult, max(thresholds)) + 2 * len(thresholds)
+        est += math.comb(n, w) * (k * per_gate + _counter_cost(k, spec.theta) + 1)
     return est + (k - 1) * 3 * length  # symmetry
 
 
@@ -436,26 +461,25 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
             f"encoding estimated at {est} clauses, over the cap {clause_cap}", est
         )
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
-    _, sel, thr = variable_map(spec)
-    b = _CnfBuilder(len(sel) + len(thr))
+    vm = variable_map(spec)
+    sel = vm.sel
+    b = _CnfBuilder(len(sel) + len(vm.thr))
 
     # multiplicity ladders: carrying level j implies carrying level j-1
     for (g, i, j), v in sel.items():
         b.add(-v, sel.get((g, i, j - 1), _TRUE))
-    # threshold ladders, thresholds at least 1
-    for g in range(k):
-        if not spec.standard_thresholds:
-            for q in range(2, k + 1):
-                b.add(-thr[(g, q)], thr[(g, q - 1)])
-            b.add(thr[(g, 1)])
+    # threshold ladders, each threshold at least the least it may carry
+    levels = [_levels(vm, g) for g in range(k)]
+    for lv in levels:
+        for q, tq in lv.items():
+            b.add(-lv.get(q + 1, _FALSE), tq)
+        b.add(lv[min(lv)])
     ladders = b.take()
 
-    def gate_lits(g: int) -> list[int]:
-        return [sel[(g, i, j)] for i in range(n) for j in range(1, mult + 1)]
-
+    sel_ids = np.array(list(sel.values()), dtype=np.int32).reshape(k, n, mult)
+    gate_lits = sel_ids.reshape(k, -1).tolist()
     # total weight exactly k per gate
-    for g in range(k):
-        lits = gate_lits(g)
+    for lits in gate_lits:
         cells = _counter_cells(b, lits, min(k + 1, len(lits)))
         if k > len(lits):
             # a row of weight k does not exist in this space
@@ -471,8 +495,6 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
     # critical layer differ only in the selectors they read and where their
     # own variables start, so the layer records one block over placeholder
     # selectors and replicates it.
-    sel_ids = np.array(list(sel.values()), dtype=np.int32).reshape(k, n, mult)
-    theta = spec.theta
     per_assignment = []
     for ones, value in _critical_layers(n):
         w = ones.shape[1]
@@ -482,29 +504,12 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
         # ones, by one-position then level
         placeholder = np.arange(base + 1, blk.num_vars + 1).reshape(k, w * mult).tolist()
         outs = []
-        for g in range(k):
-            lits = placeholder[g]
-            o = blk.new_var()
-            outs.append(o)
-            if spec.standard_thresholds:
-                # fewer than theta literals never fire and need no counter
-                cells = _counter_cells(blk, lits, theta) if len(lits) >= theta else []
-                fires = _at_least(cells, theta)
-                blk.add(-o, fires)
-                blk.add(o, -fires)
-            else:
-                cells = _counter_cells(blk, lits, min(k, len(lits)))
-                for q in range(1, k + 1):
-                    tq, fires = thr[(g, q)], _at_least(cells, q)
-                    # fires -> sum reaches every level up to the threshold
-                    blk.add(-o, -tq, fires)
-                    # threshold exactly q and sum short of q -> silent
-                    blk.add(o, -tq, thr.get((g, q + 1), _FALSE), -fires)
+        for lits, lv in zip(placeholder, levels):
+            # each output is numbered right before its gate's counter
+            outs.append(blk.new_var())
+            _threshold_gate(blk, outs[-1], lits, lv)
         # the top gate's output is the required value
-        top = _at_least(_counter_cells(blk, outs, theta), theta)
-        required = (_FALSE, _TRUE)[value]
-        blk.add(-top, required)
-        blk.add(top, -required)
+        _threshold_gate(blk, (_FALSE, _TRUE)[value], outs, {spec.theta: _TRUE})
         nvars = blk.num_vars - base - k * w * mult
         slots = sel_ids[:, ones, :].transpose(1, 0, 2, 3).reshape(len(ones), -1)
         per_assignment.append(_replicate(blk.take(), base, slots, nvars))
@@ -512,8 +517,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
 
     # rows in lexicographically non-decreasing order over the flattened
     # selector vectors; sound because the top gate is symmetric in the rows
-    for g in range(k - 1):
-        a, c = gate_lits(g), gate_lits(g + 1)
+    for a, c in zip(gate_lits, gate_lits[1:]):
         guard = _FALSE  # -e, e: the rows agree before this position
         for ap, cp in zip(a[:-1], c[:-1]):
             b.add(guard, -ap, cp)
@@ -539,7 +543,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
         "per_assignment": sum(len(m) for m in per_assignment),
         "symmetry": len(symmetry),
     }
-    return CnfInstance(spec, b.num_vars, clauses, sel, thr, sections)
+    return CnfInstance(spec, b.num_vars, clauses, sel, vm.thr, sections)
 
 
 # -- models and decoding ----------------------------------------------------
@@ -645,17 +649,18 @@ def decode(instance: CnfInstance | VariableMap, model: Iterable[int]) -> Layered
     EncoderBug.
     """
     spec = instance.spec
-    assign: dict[int, bool] = {}
+    assign: dict[float, bool] = {_TRUE: True, _FALSE: False}
     for lit in model:
         if lit == 0:
             continue
         assign[abs(lit)] = lit > 0
     n, k, mult = spec.n, spec.k, spec.multiplicity_max
 
-    def level(kind: str, where: str, ladder: Iterable[int]) -> int:
-        """The top level set on a ladder of variables for levels 1, 2, ..."""
-        top = 0
-        for j, var in enumerate(ladder, 1):
+    def level(kind: str, where: str, ladder: dict[int, float]) -> int:
+        """The top level set on a ladder {level: literal} of consecutive
+        levels, every level below its first counting as set."""
+        top = min(ladder) - 1
+        for j, var in ladder.items():
             if var not in assign:
                 raise ModelError(f"model does not assign {kind} {where}={j} (CNF variable {var})")
             if assign[var]:
@@ -668,19 +673,16 @@ def decode(instance: CnfInstance | VariableMap, model: Iterable[int]) -> Layered
     for g in range(k):
         inputs = []
         for i in range(n):
-            ladder = [instance.sel[(g, i, j)] for j in range(1, mult + 1)]
+            ladder = {j: instance.sel[(g, i, j)] for j in range(1, mult + 1)}
             m = level("selector", f"g={g} x{i + 1} j", ladder)
             if m:
                 inputs.append((i, m))
         weight = sum(m for _, m in inputs)
         if weight != k:
             raise ModelError(f"gate {g} carries weight {weight}, expected {k}")
-        theta = spec.theta
-        if not spec.standard_thresholds:
-            ladder = [instance.thr[(g, q)] for q in range(1, k + 1)]
-            theta = level("threshold", f"g={g} q", ladder)
-            if theta < 1:
-                raise ModelError(f"gate {g} decodes to threshold {theta}")
+        theta = level("threshold", f"g={g} q", _levels(instance, g))
+        if theta < 1:
+            raise ModelError(f"gate {g} decodes to threshold {theta}")
         rows.append(ThresholdGate(tuple(inputs), theta))
 
     circuit = with_top(n, [rows])
@@ -726,11 +728,6 @@ def _candidate_rows(spec: SearchSpaceSpec) -> list[tuple[int, ...]]:
         rows = [((*row, v), rest - v) for row, rest in rows
                 for v in range(max(0, rest - m * left), min(m, rest) + 1)]
     return [row for row, _ in rows]
-
-
-def _thresholds(spec: SearchSpaceSpec) -> Sequence[int]:
-    """The thresholds a candidate row may carry."""
-    return (spec.theta,) if spec.standard_thresholds else range(1, spec.k + 1)
 
 
 def _candidate_count(spec: SearchSpaceSpec) -> int:

@@ -335,6 +335,13 @@ def test_influence_equals_boundary_over_cube_size():
     assert influence(tt, l) == Fraction(boundary_size(tt, l), 2**l)
 
 
+@pytest.mark.parametrize("l", range(7))
+def test_boundary_size_counts_every_sensitive_pair(l):
+    tt = np.random.default_rng(l).integers(0, 2, 2**l)
+    pairs = sum(int(tt[x] != tt[x ^ (1 << i)]) for x in range(2**l) for i in range(l))
+    assert boundary_size(tt, l) == pairs
+
+
 def test_majority_influence_scaling():
     # normalized influence sqrt(l)*pmf-style constant stays bounded
     for l in [3, 5, 9, 13]:

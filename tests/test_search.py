@@ -44,7 +44,9 @@ from majcirc.search import (
     _FALSE,
     _TRUE,
     _candidate_rows,
+    _counter_cells,
     _critical_layers,
+    _threshold_gate,
     decode,
     encode,
     estimate_clauses,
@@ -297,6 +299,30 @@ def test_decode_rejects_wrong_row_weight():
         decode(instance, full_selector_model(instance, vectors))
 
 
+def full_threshold_model(instance: CnfInstance, vectors, thetas) -> list[int]:
+    """full_selector_model plus gate g's threshold levels set up to thetas[g]."""
+    lits = full_selector_model(instance, vectors)
+    for (g, q), var in instance.thr.items():
+        lits.append(var if q <= thetas[g] else -var)
+    return lits
+
+
+def test_decode_reads_searched_thresholds():
+    instance = encode(SearchSpaceSpec(n=3, k=3, standard_thresholds=False))
+    model = full_threshold_model(instance, [(1, 1, 1)] * 3, [2, 2, 2])
+    c = decode(instance, model)
+    assert [g.theta for g in c.layers[0]] == [2, 2, 2]
+    t1 = instance.thr[(0, 1)]
+    with pytest.raises(ModelError, match=r"^model does not assign threshold g=0 q=1 \(CNF variable 19\)$"):
+        decode(instance, [l for l in model if abs(l) != t1])
+    broken = [-t1 if l == t1 else l for l in model]  # q=2 set, q=1 not
+    with pytest.raises(ModelError, match="^threshold ladder broken at g=0 q=2$"):
+        decode(instance, broken)
+    unset = full_threshold_model(instance, [(1, 1, 1)] * 3, [0, 2, 2])
+    with pytest.raises(ModelError, match="^gate 0 decodes to threshold 0$"):
+        decode(instance, unset)
+
+
 def test_dimacs_and_varmap_files(tmp_path: Path):
     spec = SearchSpaceSpec(n=3, k=3)
     instance = encode(spec)
@@ -340,6 +366,33 @@ def test_builder_folds_constant_literals():
     b.add(4, -_FALSE)
     assert b.take().tolist() == [[1, -1], [-3, 1], [-1, 0]]
     assert b.num_vars == 0 and b.clauses == []
+
+
+def unpadded(rows: np.ndarray) -> list[list[int]]:
+    return [[lit for lit in row if lit] for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("theta", [1, 2, 4])
+def test_threshold_gate_at_a_fixed_level(theta):
+    """At its one level theta a gate leaves Sinz's counter over its
+    literals, then (-o, f) and (o, -f), f the counter's cell for (at least
+    theta); a constant output leaves the one unit clause (f) or (-f)."""
+    lits = [1, 2, 3, 4]
+    ref = _CnfBuilder(5)
+    f = _counter_cells(ref, lits, theta)[theta - 1]
+    counter = unpadded(ref.take())
+    for out, tail in [(5, [[-5, f], [5, -f]]), (_TRUE, [[f]]), (_FALSE, [[-f]])]:
+        b = _CnfBuilder(5)
+        _threshold_gate(b, out, lits, {theta: _TRUE})
+        assert b.num_vars == ref.num_vars
+        assert unpadded(b.take()) == counter + tail
+
+
+def test_threshold_gate_short_of_its_level_makes_no_counter():
+    b = _CnfBuilder(3)
+    _threshold_gate(b, 3, [1, 2], {3: _TRUE})
+    assert b.num_vars == 3
+    assert b.take().tolist() == [[-3]]
 
 
 # sha256 of write_dimacs, num_vars and clause count, computed with the
