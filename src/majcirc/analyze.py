@@ -276,8 +276,11 @@ def boundary_size(tt: Sequence[int] | np.ndarray, l: int) -> int:
     tt = np.asarray(tt)
     if tt.shape != (2**l,):
         raise ValueError(f"truth table must have 2^{l} entries, got shape {tt.shape}")
-    if not ((tt == 0) | (tt == 1)).all():
-        raise ValueError("truth table entries must be 0 or 1")
+    # a block of entries at a time, so the check makes no 2^l-entry temporary
+    for lo in range(0, tt.size, 2**16):
+        part = tt[lo : lo + 2**16]
+        if not ((part == 0) | (part == 1)).all():
+            raise ValueError("truth table entries must be 0 or 1")
     # the two halves of the cube along axis i: each place they differ is
     # two sensitive pairs, one from each end
     halves = (np.moveaxis(tt.reshape((2,) * l), i, 0) for i in range(l))

@@ -12,12 +12,14 @@ gates under a fixed standard-majority top gate:
   and the counter's one recurrence too, is written once over constant
   literals that the clause builder folds away: a fixed threshold and the
   top gate are constant levels.  Clauses are held as one int32 matrix, a
-  clause per row padded with 0.  The inputs of one critical layer get the
-  same block of clauses up to the selectors they read and where their own
-  variables start, so each layer records one block over placeholder
-  selectors and numpy replicates it; the DIMACS text is built in numpy
-  from fixed-width literal slots, and its bytes are those of building
-  every clause on its own;
+  clause per row padded with 0, allocated once.  The inputs of one
+  critical layer get the same block of clauses up to the selectors they
+  read and where their own variables start, so each layer records one
+  block over placeholder selectors and gathers its copies from a table
+  straight into its rows of the matrix; the DIMACS text is built in numpy
+  from fixed-width literal slots, a batch of rows at a time and only as
+  wide as the batch uses, and its bytes are those of building every
+  clause on its own;
 * a backtracking enumerator over lexicographically non-decreasing gate rows
   with minterm/maxterm pruning, all children of a node tested at once on
   the critical inputs one more gate decides.
@@ -61,8 +63,11 @@ from .verify import verify_all
 
 DEFAULT_CLAUSE_CAP = 5_000_000
 DEFAULT_SPACE_CAP = 10**9
-# clause rows formatted per write in CnfInstance.write_dimacs
-_DIMACS_BATCH = 2**16
+# clause rows formatted per write in CnfInstance.write_dimacs; at 2**16
+# rows a batch's byte slots outgrew the cache, and 2**13 wrote faster
+_DIMACS_BATCH = 2**13
+# clause rows gathered at a time while encode replicates a block
+_GATHER_ROWS = 2**16
 # count cells summed at a time while exhaustive_search fills a firing table
 _TABLE_BLOCK = 2**16
 
@@ -253,28 +258,45 @@ class _CnfBuilder:
         return out
 
 
-def _replicate(block: np.ndarray, base: int, slots: np.ndarray, nvars: int) -> np.ndarray:
-    """One copy of a recorded block per row of slots, stacked.
+def _replicate(
+    block: np.ndarray, base: int, slots: np.ndarray, nvars: int, out: np.ndarray
+) -> None:
+    """Write one copy of a recorded block per row of slots into out, the
+    (len(slots) * len(block), width) rows of the clause matrix that the
+    copies fill, width at least the block's; the columns past it get 0.
 
     The block was recorded with codes: up to base the real variables, then
     slots.shape[1] placeholders that copy a takes from its row of slots,
     then the block's own nvars variables, which copy a moves to
-    base + a*nvars + 1 onwards.
+    base + a*nvars + 1 onwards.  Copy a's table row holds the values of
+    the codes, their negations and the block's fixed literals (0 among
+    them), so each literal of the padded block reads one column, and a
+    group of copies is one gather from its table rows straight into out.
+    A plain block, base past its every literal, is copied once by a
+    single row of slots with no placeholder and nvars 0.
     """
     count, width = slots.shape
-    table = np.empty((count, 1 + width + nvars), dtype=np.int32)
-    table[:, 0] = 0
-    table[:, 1 : 1 + width] = slots
-    table[:, 1 + width :] = (
-        base + nvars * np.arange(count, dtype=np.int32)[:, None]
-        + np.arange(1, nvars + 1, dtype=np.int32)
-    )
-    mag = np.abs(block)
+    codes = width + nvars
+    lits = np.zeros((len(block), out.shape[1]), dtype=np.int32)
+    lits[:, : block.shape[1]] = block
+    mag = np.abs(lits)
     fixed = mag <= base
-    out = table[:, np.where(fixed, 0, mag - base)]
-    np.copyto(out, mag, where=fixed)
-    out *= np.sign(block)
-    return out.reshape(-1, block.shape[1])
+    consts, const_col = np.unique(lits[fixed], return_inverse=True)
+    col = np.where(lits < 0, codes, 0) + mag - base - 1
+    col[fixed] = 2 * codes + const_col
+    col = col.ravel()
+    own = np.arange(base + 1, base + nvars + 1, dtype=np.int32)
+    copies = out.reshape(count, col.size)
+    group = max(1, _GATHER_ROWS // max(len(block), 1))
+    for lo in range(0, count, group):
+        hi = min(lo + group, count)
+        table = np.empty((hi - lo, 2 * codes + len(consts)), dtype=np.int32)
+        table[:, :width] = slots[lo:hi]
+        table[:, width:codes] = own + nvars * np.arange(lo, hi, dtype=np.int32)[:, None]
+        np.negative(table[:, :codes], out=table[:, codes : 2 * codes])
+        table[:, 2 * codes :] = consts
+        # every column is in range; "clip" writes out in place, "raise" via a buffer
+        table.take(col, axis=1, out=copies[lo:hi], mode="clip")
 
 
 def _counter_cells(b: _CnfBuilder, lits: Sequence[int], qmax: int) -> list[int]:
@@ -341,8 +363,9 @@ class CnfInstance:
     literals first and 0 after them (0 is never a literal in DIMACS), so
     len(clauses) is the clause count and width the longest clause.  The
     per_assignment rows are one recorded block per critical layer,
-    replicated with numpy over the layer's inputs; write_dimacs writes
-    the same bytes as emitting every clause on its own.  sections counts
+    gathered by encode straight into this matrix for each of the layer's
+    inputs; write_dimacs writes the same bytes as emitting every clause on
+    its own.  sections counts
     the clauses of each part of the encoding, in file order: ladders,
     exactly_k, per_assignment and symmetry (the rows' lexicographic order).
     """
@@ -368,20 +391,26 @@ class CnfInstance:
         """Write the DIMACS file, its text built in numpy _DIMACS_BATCH
         clause rows at a time.
 
-        Each row of a batch becomes fixed-width byte slots: one per literal
-        (sign, digits, space; see _literal_slots), 8 bytes while num_vars
-        has at most six digits and 16 beyond, then one holding "0\\n".
-        Every DIMACS character is nonzero, so dropping the NUL bytes leaves
-        exactly the text, and the padding literal 0 leaves nothing.  The
-        transient arrays are set by the batch, not by num_vars or the
-        clause count.
+        A batch first drops its trailing columns that hold only padding:
+        standard-threshold per-assignment rows use 3 of the matrix's 4.
+        Each of its rows then becomes fixed-width byte slots: one per
+        literal column (sign, digits, space; see _literal_slots), 8 bytes
+        while num_vars has at most six digits and 16 beyond, then one
+        holding "0\\n".  Every DIMACS character is nonzero, so dropping
+        the NUL bytes leaves exactly the text, and the padding literal 0
+        leaves nothing.  The transient arrays are set by the batch, not by
+        num_vars or the clause count.
         """
-        rows, width = self.clauses.shape
+        rows = len(self.clauses)
         words = 1 if self.num_vars < 10**6 else 2
         with open(path, "wb") as fh:
             fh.write(f"p cnf {self.num_vars} {rows}\n".encode())
             for lo in range(0, rows, _DIMACS_BATCH):
                 batch = self.clauses[lo : lo + _DIMACS_BATCH]
+                width = batch.shape[1]
+                while width and not batch[:, width - 1].any():
+                    width -= 1
+                batch = batch[:, :width]
                 slots = np.zeros((len(batch), width + 1, words), dtype=np.int64)
                 slots[:, width, 0] = int.from_bytes(b"0\n", "little")
                 _literal_slots(batch, slots[:, :width])
@@ -495,7 +524,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
     # critical layer differ only in the selectors they read and where their
     # own variables start, so the layer records one block over placeholder
     # selectors and replicates it.
-    per_assignment = []
+    layers = []
     for ones, value in _critical_layers(n):
         w = ones.shape[1]
         base = b.num_vars
@@ -512,7 +541,7 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
         _threshold_gate(blk, (_FALSE, _TRUE)[value], outs, {spec.theta: _TRUE})
         nvars = blk.num_vars - base - k * w * mult
         slots = sel_ids[:, ones, :].transpose(1, 0, 2, 3).reshape(len(ones), -1)
-        per_assignment.append(_replicate(blk.take(), base, slots, nvars))
+        layers.append((blk.take(), base, slots, nvars))
         b.num_vars += len(ones) * nvars
 
     # rows in lexicographically non-decreasing order over the flattened
@@ -529,20 +558,24 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
 
     symmetry = b.take()
 
-    parts = [ladders, exactly_k, *per_assignment, symmetry]
-    clauses = np.zeros(
-        (sum(len(m) for m in parts), max(m.shape[1] for m in parts)), dtype=np.int32
-    )
-    row = 0
-    for m in parts:
-        clauses[row : row + len(m), : m.shape[1]] = m
-        row += len(m)
+    # one matrix, every cell written once, its rows in file order: each
+    # layer's copies are gathered straight into their rows, and a plain
+    # part is a block of fixed literals copied once
+    once = (b.num_vars, np.empty((1, 0), dtype=np.int32), 0)
+    parts = [(ladders, *once), (exactly_k, *once), *layers, (symmetry, *once)]
     sections = {
         "ladders": len(ladders),
         "exactly_k": len(exactly_k),
-        "per_assignment": sum(len(m) for m in per_assignment),
+        "per_assignment": sum(len(block) * len(slots) for block, _, slots, _ in layers),
         "symmetry": len(symmetry),
     }
+    width = max(block.shape[1] for block, *_ in parts)
+    clauses = np.empty((sum(sections.values()), width), dtype=np.int32)
+    row = 0
+    for block, base, slots, nvars in parts:
+        rows = len(block) * len(slots)
+        _replicate(block, base, slots, nvars, clauses[row : row + rows])
+        row += rows
     return CnfInstance(spec, b.num_vars, clauses, sel, vm.thr, sections)
 
 

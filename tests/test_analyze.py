@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,26 @@ def test_boundary_and_influence_reject_tables_that_are_not_boolean(tt):
             fn(tt, 1)
     assert boundary_size([True, False], 1) == 2
 
+
+
+def test_boundary_check_makes_no_table_sized_temporary():
+    """The 0/1 check reads the table a block at a time: at l = 22 the peak
+    is the halves comparison's 2 MB, and an entry past the first block
+    is still caught."""
+    tt = majority_truth_table(22)
+    tracemalloc.start()
+    try:
+        count = boundary_size(tt, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # weight-11 inputs are sensitive on their ones, weight-10 ones on their zeros
+    assert count == 11 * math.comb(22, 11) + 12 * math.comb(22, 10)
+    assert peak <= 2.5 * 2**20
+    late = np.zeros(2**18, dtype=np.uint8)
+    late[-1] = 2
+    with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
+        boundary_size(late, 18)
 
 def test_closed_forms_reject_even_n():
     with pytest.raises(ValueError):

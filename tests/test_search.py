@@ -46,6 +46,8 @@ from majcirc.search import (
     _candidate_rows,
     _counter_cells,
     _critical_layers,
+    _literal_slots,
+    _replicate,
     _threshold_gate,
     decode,
     encode,
@@ -564,6 +566,77 @@ def test_write_dimacs_matches_the_reference_writer(matrix, batch):
         assert written == (Path(tmp) / "reference.cnf").read_bytes()
     # a row of length 0 is the empty clause, written "0\n"
     assert b"\n0\n" in written
+
+
+
+def test_write_dimacs_slots_only_the_columns_a_batch_uses(tmp_path: Path):
+    """A batch whose trailing columns are all padding gets no slots for
+    them, and the bytes stay the reference writer's."""
+    clauses = np.zeros((7, 4), dtype=np.int32)
+    clauses[:4, :3] = [[1, -2, 3], [-4, 5, 0], [6, 0, 0], [0, 0, 0]]
+    clauses[4:, :] = [[7, 0, 0, 0], [-8, 9, -10, 11], [12, 13, 0, 0]]
+    instance = CnfInstance(SearchSpaceSpec(n=1, k=1), 13, clauses, {}, {}, {})
+    shapes = []
+
+    def recording(lits, out):
+        shapes.append(out.shape)
+        _literal_slots(lits, out)
+
+    with mock.patch("majcirc.search._DIMACS_BATCH", 4), \
+            mock.patch("majcirc.search._literal_slots", recording):
+        instance.write_dimacs(tmp_path / "trimmed.cnf")
+        reference_dimacs(instance, tmp_path / "reference.cnf")
+    assert shapes == [(4, 3, 1), (3, 4, 1)]
+    assert (tmp_path / "trimmed.cnf").read_bytes() == (tmp_path / "reference.cnf").read_bytes()
+
+
+def test_encode_peak_is_the_clause_matrix():
+    """Replicated blocks are gathered straight into the one clause matrix,
+    a bounded group of copies at a time, with no copy of a whole layer."""
+    tracemalloc.start()
+    try:
+        instance = encode(SearchSpaceSpec(n=11, k=9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * instance.clauses.nbytes
+
+
+def reference_replicate(block, base, slots, nvars):
+    """The fancy-indexing replication _replicate replaced: every copy of
+    the block, stacked, as wide as the block."""
+    count, width = slots.shape
+    table = np.zeros((count, 1 + width + nvars), dtype=np.int64)
+    table[:, 1 : 1 + width] = slots
+    table[:, 1 + width :] = base + nvars * np.arange(count)[:, None] + np.arange(1, nvars + 1)
+    mag = np.abs(block)
+    fixed = mag <= base
+    out = table[:, np.where(fixed, 0, mag - base)]
+    np.copyto(out, mag, where=fixed)
+    out *= np.sign(block)
+    return out.reshape(-1, block.shape[1])
+
+
+@pytest.mark.parametrize("gather_rows", [1, 7, 2**16])
+def test_replicate_matches_the_reference(gather_rows, monkeypatch):
+    """Random blocks over fixed variables of both signs, placeholders, own
+    variables and padding, written into a wider slice than the block."""
+    monkeypatch.setattr("majcirc.search._GATHER_ROWS", gather_rows)
+    rng = np.random.default_rng(gather_rows)
+    for trial in range(20):
+        base = int(rng.integers(1, 12))
+        # the first block is plain: no placeholder, no own variable
+        width, nvars = (int(v) for v in rng.integers(0, 12, 2) * (trial > 0))
+        count, rows, cols = (int(v) for v in rng.integers(1, 9, 3))
+        mags = rng.integers(0, base + width + nvars + 1, (rows, cols))
+        block = mags * rng.choice([-1, 1], (rows, cols))
+        slots = rng.integers(1, 1000, (count, width), dtype=np.int32)
+        out = np.full((count * rows + 2, cols + 1), -99, dtype=np.int32)
+        _replicate(block.astype(np.int32), base, slots, nvars, out[1:-1])
+        expected = reference_replicate(block, base, slots, nvars)
+        assert np.array_equal(out[1:-1, :cols], expected)
+        assert not out[1:-1, cols:].any()
+        assert (out[[0, -1]] == -99).all()
 
 
 # -- solver output parsing ---------------------------------------------------
