@@ -18,14 +18,26 @@ inputs object, with the same record and no second check.  So gates that
 read one support (a block circuit has n/p distinct layer-1 supports among
 its thousands of gates) share one inputs object, loading, checking and
 serializing a circuit cost work per distinct support, not per gate, and
-fan-in bounds are read, never recomputed.
+fan-in bounds are read, never recomputed.  The check reads the positions
+and weights as whole columns with builtins (zip, set, min, sum, max),
+converting with int() only inputs that hold a value of another type, and
+walks the pairs one by one only to name the first bad one.
+
+Parsing.  parse_circuit matches only the short head of each gate line
+(gate d:id theta t).  Each distinct body of a layer gets one pattern check
+and one conversion of all its numbers; the token-by-token reader, which
+names every error in a body, runs only for a body that fails the check.
+Each variable's position is made once per parse, so the gates that read
+a variable share one int.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 MAX_VARS = 10**6
 
@@ -71,27 +83,31 @@ class ThresholdGate:
     max_weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pairs = [(int(p), int(w)) for p, w in self.inputs]
-        pairs.sort()
+        pairs = tuple(self.inputs)
         if not pairs:
             raise CircuitError("gate has no inputs")
-        seen = set()
-        fanin = max_weight = 0
-        for p, w in pairs:
-            if p < 0:
-                raise CircuitError(f"negative input position {p}")
-            if p in seen:
-                raise CircuitError(f"duplicate input position {p}")
-            seen.add(p)
-            if w < 1:
-                raise CircuitError(f"non-positive weight {w} on position {p}")
-            fanin += w
-            if w > max_weight:
-                max_weight = w
+        positions, weights = zip(*pairs, strict=True)
+        # pairs other than tuples of two ints are converted, as int() reads them
+        types = {*map(type, positions), *map(type, weights)}
+        if {*map(type, pairs)} != {tuple} or types != {int}:
+            pairs = [(int(p), int(w)) for p, w in pairs]
+            positions, weights = zip(*pairs)
+        pairs = sorted(pairs)
+        if min(positions) < 0 or len(set(positions)) < len(pairs) or min(weights) < 1:
+            # name the first bad pair in sorted order
+            seen = set()
+            for p, w in pairs:
+                if p < 0:
+                    raise CircuitError(f"negative input position {p}")
+                if p in seen:
+                    raise CircuitError(f"duplicate input position {p}")
+                seen.add(p)
+                if w < 1:
+                    raise CircuitError(f"non-positive weight {w} on position {p}")
         object.__setattr__(self, "inputs", tuple(pairs))
         object.__setattr__(self, "theta", int(self.theta))
-        object.__setattr__(self, "fanin", fanin)
-        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "fanin", sum(weights))
+        object.__setattr__(self, "max_weight", max(weights))
 
     def with_theta(self, theta: int) -> ThresholdGate:
         """This gate at threshold theta: the same inputs object and recorded
@@ -331,6 +347,11 @@ def eval_circuit(c: LayeredCircuit, a: Assignment) -> int:
 
 _MAGIC = "majcirc 1"
 _REF_RE = re.compile(r"^(x(\d+)|g(\d+):(\d+))\*(-?\d+)$")
+_GATE_HEAD_RE = re.compile(r"gate (\d+):(\d+) theta (-?\d+)")
+# numbers in the bodies parse reads in one pass: ASCII digits, no sign and
+# at most 18 of them, so every number fits an int64; weights start at 1
+_REF_NUMBER = "[0-9]{1,18}"
+_WEIGHT = "[1-9][0-9]{0,17}"
 # characters of text that parse_circuit splits into lines at once
 _LINE_BLOCK = 1 << 16
 
@@ -374,11 +395,84 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         start = end
 
 
+def _token_inputs(
+    no: int, d: int, n: int, body: str, below: dict[int, int]
+) -> list[tuple[int, int]]:
+    """The (position, weight) pairs of a layer-d gate body, read one
+    whitespace-separated token at a time; below maps the gate ids of layer
+    d-1 to their positions.  Every parse error in a body is named here."""
+    inputs = []
+    for tok in body.split():
+        m = _REF_RE.fullmatch(tok)
+        if not m:
+            raise CircuitParseError(no, f"bad input reference {tok!r}")
+        if m.group(2) is not None:
+            if d != 1:
+                raise CircuitParseError(
+                    no, f"layer {d} gate may only reference layer {d - 1} gates"
+                )
+            v = int(m.group(2))
+            if not 1 <= v <= n:
+                raise CircuitParseError(no, f"variable x{v} out of range 1..{n}")
+            pos = v - 1
+        else:
+            ref_layer, ref_id = int(m.group(3)), int(m.group(4))
+            if d == 1:
+                raise CircuitParseError(no, "layer 1 gate may only reference variables")
+            if ref_layer != d - 1:
+                raise CircuitParseError(
+                    no, f"layer {d} gate may only reference layer {d - 1} gates"
+                )
+            if ref_id not in below:
+                raise CircuitParseError(no, f"dangling reference g{ref_layer}:{ref_id}")
+            pos = below[ref_id]
+        inputs.append((pos, int(m.group(5))))
+    return inputs
+
+
+class _VariablePositions(dict):
+    """Position v - 1 of each variable x<v> in 1..n, added on its first
+    lookup, so the gates that read a variable share one int object; a
+    number outside 1..n raises KeyError."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise KeyError(v)
+        self[v] = v - 1
+        return v - 1
+
+
+def _bulk_inputs(
+    body: str, pattern: re.Pattern, prefix: str, positions: Mapping[int, int]
+) -> tuple[tuple[int, int], ...] | None:
+    """The (position, weight) pairs of a body that pattern admits and whose
+    references all resolve in positions, read in one pass; None for any
+    other body, which _token_inputs then reads.  pattern admits only
+    references prefix<number>*<weight> joined by single spaces, so one
+    int64 conversion of the whole body reads every number as int() would."""
+    if not pattern.fullmatch(body):
+        return None
+    nums = np.fromstring(body.replace(prefix, "").replace("*", " "), dtype=np.int64, sep=" ")
+    try:
+        return tuple(zip(map(positions.__getitem__, nums[0::2].tolist()), nums[1::2].tolist()))
+    except LookupError:
+        return None
+
+
 def parse_circuit(text: str) -> LayeredCircuit:
     """Parse the text format back into a circuit.
 
     The parser checks the text itself: syntax, the header, gate layers and
-    ids, and that every reference resolves.  Each gate is then built as a
+    ids, and that every reference resolves.  A gate line is split once at
+    " : " and its short head matched; each distinct body of a layer is
+    checked against one pattern and its numbers converted in one pass, and
+    only a body that fails the check (other spacing or digits, a sign, a
+    reference that does not resolve) is read token by token, the one place
+    that names an error in a body.  Each gate is then built as a
     ThresholdGate, whose CircuitError (no inputs, repeated input, weight
     below 1) comes back as a CircuitParseError with the gate's line number.
     Circuit checks, such as fan-in over the declared bound k, come from
@@ -395,27 +489,29 @@ def parse_circuit(text: str) -> LayeredCircuit:
         raise CircuitParseError(no, "missing header line")
     n, k, depth = _parse_header(header_no, header)
 
-    # Gate lines by layer, keyed by gate id.  A gate's position in its layer
-    # is the order of its line in the file, so lines may come in any order
-    # across layers.
-    rows: dict[int, dict[int, tuple[int, int, int, str]]] = {}
+    # Per layer, each gate id's position and each gate line's (line number,
+    # theta, body).  A gate's position in its layer is the order of its line
+    # in the file, so lines may come in any order across layers.
+    ids: dict[int, dict[int, int]] = {}
+    rows: dict[int, list[tuple[int, int, str]]] = {}
     bodies: dict[str, str] = {}
     top_ref: tuple[int, int, int] | None = None
     no = header_no
     for no, line in lines:
         if line.startswith("gate "):
-            m = re.fullmatch(r"gate (\d+):(\d+) theta (-?\d+) : (.*)", line)
-            if not m:
+            head, sep, body = line.partition(" : ")
+            m = _GATE_HEAD_RE.fullmatch(head)
+            if not (sep and m):
                 raise CircuitParseError(no, f"bad gate line {line!r}")
             d, gid = int(m.group(1)), int(m.group(2))
             if not 1 <= d <= depth:
                 raise CircuitParseError(no, f"gate layer {d} out of range 1..{depth}")
-            layer = rows.setdefault(d, {})
+            layer = ids.setdefault(d, {})
             if gid in layer:
                 raise CircuitParseError(no, f"duplicate gate id {d}:{gid}")
-            body = m.group(4)
+            layer[gid] = len(layer)
             body = bodies.setdefault(body, body)  # one copy of a repeated body
-            layer[gid] = (len(layer), no, int(m.group(3)), body)
+            rows.setdefault(d, []).append((no, int(m.group(3)), body))
         elif line.startswith("top "):
             m = re.fullmatch(r"top g(\d+):(\d+)", line)
             if not m:
@@ -431,45 +527,25 @@ def parse_circuit(text: str) -> LayeredCircuit:
     for d in range(1, depth + 1):
         if d not in rows:
             raise CircuitParseError(header_no, f"layer {d} has no gates")
-        below = rows.get(d - 1, {})
+        below = ids.get(d - 1, {})
+        prefix, positions = ("x", _VariablePositions(n)) if d == 1 else (f"g{d - 1}:", below)
+        ref = f"{prefix}{_REF_NUMBER}\\*{_WEIGHT}"
+        pattern = re.compile(f"{ref}(?: {ref})*")
         gates = []
         # body text -> the first gate built from it, whose inputs the gates
         # that repeat the body share.  A body is kept only once its gate is
         # built, so a bad body fails on the first line that carries it.
         parsed: dict[str, ThresholdGate] = {}
-        for _, no, theta, body in rows[d].values():
+        for no, theta, body in rows[d]:
             shared = parsed.get(body)
             if shared is not None:
                 gates.append(shared.with_theta(theta))
                 continue
-            inputs = []
-            for tok in body.split():
-                m = _REF_RE.fullmatch(tok)
-                if not m:
-                    raise CircuitParseError(no, f"bad input reference {tok!r}")
-                if m.group(2) is not None:
-                    if d != 1:
-                        raise CircuitParseError(
-                            no, f"layer {d} gate may only reference layer {d - 1} gates"
-                        )
-                    v = int(m.group(2))
-                    if not 1 <= v <= n:
-                        raise CircuitParseError(no, f"variable x{v} out of range 1..{n}")
-                    pos = v - 1
-                else:
-                    ref_layer, ref_id = int(m.group(3)), int(m.group(4))
-                    if d == 1:
-                        raise CircuitParseError(no, "layer 1 gate may only reference variables")
-                    if ref_layer != d - 1:
-                        raise CircuitParseError(
-                            no, f"layer {d} gate may only reference layer {d - 1} gates"
-                        )
-                    if ref_id not in below:
-                        raise CircuitParseError(no, f"dangling reference g{ref_layer}:{ref_id}")
-                    pos = below[ref_id][0]
-                inputs.append((pos, int(m.group(5))))
+            inputs = _bulk_inputs(body, pattern, prefix, positions)
+            if inputs is None:
+                inputs = _token_inputs(no, d, n, body, below)
             try:
-                gate = ThresholdGate(tuple(inputs), theta)
+                gate = ThresholdGate(inputs, theta)
             except CircuitError as e:
                 raise CircuitParseError(no, str(e)) from None
             parsed[body] = gate
@@ -481,7 +557,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
     no, top_layer, top_id = top_ref
     if top_layer != depth:
         raise CircuitParseError(no, f"top must name a layer {depth} gate")
-    top = rows.get(depth, {}).get(top_id)
+    top = ids.get(depth, {}).get(top_id)
     if top is None:
         raise CircuitParseError(no, f"dangling top reference g{top_layer}:{top_id}")
-    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top[0])
+    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=top)

@@ -398,21 +398,27 @@ class CnfInstance:
         while num_vars has at most six digits and 16 beyond, then one
         holding "0\\n".  Every DIMACS character is nonzero, so dropping
         the NUL bytes leaves exactly the text, and the padding literal 0
-        leaves nothing.  The transient arrays are set by the batch, not by
+        leaves nothing.  The slots of every batch are views of one buffer,
+        allocated once per write and sized by _DIMACS_BATCH and the matrix
+        width, so the transient arrays are set by the batch, not by
         num_vars or the clause count.
         """
-        rows = len(self.clauses)
+        rows, cols = self.clauses.shape
         words = 1 if self.num_vars < 10**6 else 2
+        buffer = np.empty(min(rows, _DIMACS_BATCH) * (cols + 1) * words, dtype=np.int64)
+        end = np.zeros(words, dtype=np.int64)
+        end[0] = int.from_bytes(b"0\n", "little")
         with open(path, "wb") as fh:
             fh.write(f"p cnf {self.num_vars} {rows}\n".encode())
             for lo in range(0, rows, _DIMACS_BATCH):
                 batch = self.clauses[lo : lo + _DIMACS_BATCH]
-                width = batch.shape[1]
+                width = cols
                 while width and not batch[:, width - 1].any():
                     width -= 1
                 batch = batch[:, :width]
-                slots = np.zeros((len(batch), width + 1, words), dtype=np.int64)
-                slots[:, width, 0] = int.from_bytes(b"0\n", "little")
+                shape = (len(batch), width + 1, words)
+                slots = buffer[: math.prod(shape)].reshape(shape)
+                slots[:, width] = end
                 _literal_slots(batch, slots[:, :width])
                 fh.write(slots.tobytes().translate(None, b"\0"))
 

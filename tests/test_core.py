@@ -7,8 +7,9 @@ import tracemalloc
 from typing import Callable
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majcirc.core import (
@@ -235,6 +236,74 @@ def test_inputs_not_made_by_the_check_are_checked(inputs, message):
         with pytest.raises(CircuitError) as err:
             ThresholdGate(bad, theta=1)
         assert str(err.value) == message
+
+
+def reference_gate_check(inputs, theta):
+    """The pair loop the builtins check replaced: (inputs, theta, fanin,
+    max_weight) of the gate, or the CircuitError naming its first bad pair
+    in sorted order."""
+    pairs = [(int(p), int(w)) for p, w in inputs]
+    pairs.sort()
+    if not pairs:
+        raise CircuitError("gate has no inputs")
+    seen = set()
+    fanin = max_weight = 0
+    for p, w in pairs:
+        if p < 0:
+            raise CircuitError(f"negative input position {p}")
+        if p in seen:
+            raise CircuitError(f"duplicate input position {p}")
+        seen.add(p)
+        if w < 1:
+            raise CircuitError(f"non-positive weight {w} on position {p}")
+        fanin += w
+        if w > max_weight:
+            max_weight = w
+    return tuple(pairs), int(theta), fanin, max_weight
+
+
+# positions and weights of every type the check converts, around each bound
+_CHECK_VALUES = st.one_of(
+    st.integers(-2, 9),
+    st.integers(2**63 - 2, 2**66),
+    st.booleans(),
+    st.integers(-2, 9).map(np.int64),
+    st.integers(0, 9).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_CHECK_VALUES, _CHECK_VALUES).flatmap(
+            lambda pair: st.sampled_from([pair, list(pair)])
+        ),
+        max_size=8,
+    ).flatmap(lambda pairs: st.sampled_from([tuple(pairs), pairs])),
+    st.one_of(st.integers(-3, 40), st.integers(0, 9).map(np.int64)),
+)
+# each fault alone, where random lists mostly carry several
+@example([(3, 1), (-2, 2)], 1)
+@example(((4, 1), (0, 2), (4, 3)), 2)
+@example([[2, 0], (1, 1)], 1)
+@example(((1, 5), (0, -1)), 1)
+@example(((np.int64(2), True), (np.uint8(0), 2**64)), np.int64(3))
+def test_gate_check_matches_the_reference_loop(inputs, theta):
+    """Unsorted and repeated pairs, pairs given as lists, numpy ints and
+    bools, negative positions, weights below 1 and ints past 2^63: the
+    check keeps the same gate, or raises the same message, as the loop."""
+    try:
+        expected = reference_gate_check(inputs, theta)
+    except CircuitError as e:
+        with pytest.raises(CircuitError) as err:
+            ThresholdGate(inputs, theta)
+        assert str(err.value) == str(e)
+        return
+    g = ThresholdGate(inputs, theta)
+    assert (g.inputs, g.theta, g.fanin, g.max_weight) == expected
+    assert all(type(pair) is tuple for pair in g.inputs)
+    assert {type(v) for pair in g.inputs for v in pair} | {type(g.fanin), type(g.max_weight)} == {int}
 
 
 def test_gate_properties():
@@ -630,6 +699,104 @@ def test_parse_rejects_cross_layer_reference():
     )
     with pytest.raises(CircuitParseError):
         parse_circuit(text)
+
+
+# one body on a depth-1 circuit (line 3) or on layer 2 of a depth-2 one
+# (line 5), whose layer 1 is x1 and x2 alone
+_BODY_ON_LAYER1 = "majcirc 1\nn {n} k 10000000000000000000 depth 1\ngate 1:0 theta 1 : {body}\ntop g1:0\n"
+_BODY_ON_LAYER2 = (
+    "majcirc 1\nn {n} k 3 depth 2\ngate 1:0 theta 1 : x1*1\ngate 1:1 theta 1 : x2*1\n"
+    "gate 2:0 theta 1 : {body}\ntop g2:0\n"
+)
+# layer-1 gate ids of 19 digits, the first of them 2^63 - 1
+_BODY_ON_WIDE_IDS = (
+    "majcirc 1\nn {n} k 3 depth 2\ngate 1:9223372036854775807 theta 1 : x1*1\n"
+    "gate 1:9999999999999999999 theta 1 : x2*1\ngate 2:0 theta 1 : {body}\ntop g2:0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "template,n,body,expected,by_tokens",
+    [
+        (_BODY_ON_LAYER1, 2, "x1*1 x2*1", ((0, 1), (1, 1)), False),
+        (_BODY_ON_LAYER2, 2, "g1:1*1 g1:0*2", ((0, 2), (1, 1)), False),
+        (_BODY_ON_LAYER1, 2, "x1*1\tx2*1", ((0, 1), (1, 1)), True),
+        (_BODY_ON_LAYER1, 2, "x1*1  x2*1", ((0, 1), (1, 1)), True),
+        (_BODY_ON_LAYER1, 2, " x1*1 x2*1", ((0, 1), (1, 1)), True),
+        (_BODY_ON_LAYER1, 2, "x١*1", ((0, 1),), True),
+        (_BODY_ON_LAYER1, 2, "x1*1234567890123456789", ((0, 1234567890123456789),), True),
+        (_BODY_ON_LAYER1, 2, "x1*-1", (3, "non-positive weight -1 on position 0"), True),
+        (_BODY_ON_LAYER1, 2, "x1*0", (3, "non-positive weight 0 on position 0"), True),
+        (_BODY_ON_LAYER1, 2, "x0*1", (3, "variable x0 out of range 1..2"), True),
+        (_BODY_ON_LAYER1, 1, "x2*1", (3, "variable x2 out of range 1..1"), True),
+        (_BODY_ON_LAYER1, 2, "x2*1 x2*3", (3, "duplicate input position 1"), False),
+        (_BODY_ON_LAYER2, 2, "g1:0*1 g1:9*1", (5, "dangling reference g1:9"), True),
+        (_BODY_ON_LAYER2, 2, "g0:0*1", (5, "layer 2 gate may only reference layer 1 gates"), True),
+        (_BODY_ON_LAYER2, 2, "g1:0*1 x1*1", (5, "layer 2 gate may only reference layer 1 gates"), True),
+        (_BODY_ON_WIDE_IDS, 2, "g1:9999999999999999999*1", ((1, 1),), True),
+    ],
+    ids=[
+        "plain", "plain-layer2", "tab", "double-space", "leading-space", "arabic-indic-digit",
+        "19-digit-weight", "negative-weight", "zero-weight", "x0", "x2-at-n1", "repeat",
+        "dangling", "wrong-layer", "variable-on-layer2", "19-digit-gate-id",
+    ],
+)
+def test_parse_reads_bodies_off_the_bulk_pattern_token_by_token(
+    template, n, body, expected, by_tokens
+):
+    """A body with other spacing or digits, a sign, a weight below 1, a
+    number of 19 digits, or a reference that does not resolve is read
+    token by token, and parses, or fails with the line and reason, as
+    before the one-pass reader; a repeated input passes that reader and
+    fails in the gate."""
+    from majcirc import core
+
+    text = template.format(n=n, body=body)
+    with mock.patch.object(core, "_token_inputs", wraps=core._token_inputs) as tokens:
+        if isinstance(expected[0], tuple):
+            assert parse_circuit(text).layers[-1][0].inputs == expected
+        else:
+            with pytest.raises(CircuitParseError) as err:
+                parse_circuit(text)
+            assert (err.value.line, err.value.reason) == expected
+    assert tokens.called == by_tokens
+
+
+@st.composite
+def heavy_circuit_strategy(draw):
+    """Random depth-1..3 circuits whose weights reach 10^18 and 2^63,
+    on both sides of the one-pass reader's 18-digit bound."""
+    weight = st.one_of(
+        st.integers(1, 3), st.integers(10**18 - 2, 10**18 + 1), st.integers(2**63 - 1, 2**70)
+    )
+    n = draw(st.integers(1, 6))
+    layers = []
+    width = n
+    for _ in range(draw(st.integers(1, 3))):
+        layer = []
+        for _ in range(draw(st.integers(1, 4))):
+            support = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+            layer.append(ThresholdGate(tuple((p, draw(weight)) for p in support), draw(st.integers(-1, 4))))
+        layers.append(tuple(layer))
+        width = len(layer)
+    k = max(g.fanin for layer in layers for g in layer)
+    return LayeredCircuit(n=n, k=k, layers=tuple(layers), top=draw(st.integers(0, width - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(heavy_circuit_strategy(), st.randoms(use_true_random=False))
+def test_round_trip_with_huge_weights_and_interleaved_layers(c, rnd):
+    """Gate lines of different layers interleaved at random, each layer's
+    lines kept in order, parse back to the circuit."""
+    text = serialize_circuit(c)
+    lines = text.splitlines(keepends=True)
+    by_layer = [[line for line in lines[2:-1] if line.startswith(f"gate {d}:")] for d in (1, 2, 3)]
+    shuffled = []
+    while any(by_layer):
+        shuffled.append(rnd.choice([layer for layer in by_layer if layer]).pop(0))
+    back = parse_circuit("".join(lines[:2] + shuffled + lines[-1:]))
+    assert back == c
+    assert serialize_circuit(back) == text
 
 
 def gate_strategy(width: int, k: int):

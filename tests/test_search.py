@@ -590,6 +590,26 @@ def test_write_dimacs_slots_only_the_columns_a_batch_uses(tmp_path: Path):
     assert (tmp_path / "trimmed.cnf").read_bytes() == (tmp_path / "reference.cnf").read_bytes()
 
 
+def test_write_dimacs_slots_every_batch_in_one_buffer(tmp_path: Path):
+    """Each batch's slots view the one buffer a write allocates, whatever
+    width the batch trims to."""
+    instance = encode(SearchSpaceSpec(n=5, k=3))
+    bases = []
+
+    def recording(lits, out):
+        bases.append(out.base)
+        _literal_slots(lits, out)
+
+    with mock.patch("majcirc.search._DIMACS_BATCH", 64), \
+            mock.patch("majcirc.search._literal_slots", recording):
+        instance.write_dimacs(tmp_path / "shared.cnf")
+        reference_dimacs(instance, tmp_path / "reference.cnf")
+    assert len(bases) == -(-len(instance.clauses) // 64) > 1
+    assert all(base is bases[0] for base in bases)
+    assert bases[0].nbytes == 64 * (instance.clauses.shape[1] + 1) * 8
+    assert (tmp_path / "shared.cnf").read_bytes() == (tmp_path / "reference.cnf").read_bytes()
+
+
 def test_encode_peak_is_the_clause_matrix():
     """Replicated blocks are gathered straight into the one clause matrix,
     a bounded group of copies at a time, with no copy of a whole layer."""
