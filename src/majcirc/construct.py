@@ -324,10 +324,8 @@ def published_rows(tag: str) -> tuple[tuple[int, ...], ...]:
 
 
 def published_circuit(tag: str) -> LayeredCircuit:
-    if tag not in _PUBLISHED_ROWS:
-        raise ValueError(f"unknown circuit tag {tag!r}; known: {', '.join(PUBLISHED_TAGS)}")
-    n, rows = _PUBLISHED_ROWS[tag]
-    return with_top(n, [[majority_gate_over_vars(row) for row in rows]])
+    rows = published_rows(tag)
+    return with_top(_PUBLISHED_ROWS[tag][0], [[majority_gate_over_vars(row) for row in rows]])
 
 
 def omission_circuit(n: int, omitted_pairs: list[tuple[int, int]]) -> LayeredCircuit:

@@ -157,7 +157,7 @@ class ModelError(ValueError):
 
 
 class EncoderBug(RuntimeError):
-    """A decoded circuit failed verification: the encoding itself is wrong."""
+    """A circuit returned by either engine failed verification: the engine is wrong."""
 
 
 class SolverError(RuntimeError):
@@ -180,7 +180,7 @@ class SearchSpaceSpec:
     bottom gate once, unweighted, so sorting the gates of any circuit
     (full-threshold ones too) keeps its function.  Every candidate is
     monotone, so the search constrains only the two critical weight
-    layers, and decode re-verifies on all 2^n inputs.
+    layers; both engines re-verify what they find on all 2^n inputs.
     """
 
     n: int
@@ -245,7 +245,7 @@ class _CnfBuilder:
     def take(self) -> np.ndarray:
         """The pending clauses as a 0-padded int32 matrix, one per row, with
         constants folded: a clause holding _TRUE is satisfied and dropped,
-        and _FALSE is left out of its clause."""
+        and _FALSE is left out of it (all-zero row: the empty clause)."""
         rows, self.clauses = self.clauses, []
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         lits = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=lengths.sum())
@@ -361,7 +361,8 @@ class CnfInstance:
 
     clauses is an (m, width) int32 matrix holding one clause per row, its
     literals first and 0 after them (0 is never a literal in DIMACS), so
-    len(clauses) is the clause count and width the longest clause.  The
+    len(clauses) is the clause count and width the longest clause; an
+    all-zero row is the empty clause, written as "0".  The
     per_assignment rows are one recorded block per critical layer,
     gathered by encode straight into this matrix for each of the layer's
     inputs; write_dimacs writes the same bytes as emitting every clause on
@@ -488,7 +489,8 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
     Satisfiable exactly when some circuit in the space agrees with the
     majority on both critical layers, which means computing it on all
     inputs, since candidates are monotone.  Refuses with an estimate when
-    the projected clause count exceeds clause_cap.
+    the projected clause count exceeds clause_cap.  For k past n *
+    multiplicity_max each gate's exactly-k is an all-zero (empty) clause.
     """
     est = estimate_clauses(spec)
     if est > clause_cap:
@@ -513,16 +515,11 @@ def encode(spec: SearchSpaceSpec, clause_cap: int = DEFAULT_CLAUSE_CAP) -> CnfIn
 
     sel_ids = np.array(list(sel.values()), dtype=np.int32).reshape(k, n, mult)
     gate_lits = sel_ids.reshape(k, -1).tolist()
-    # total weight exactly k per gate
+    # total weight exactly k per gate; with k past the row length, (at
+    # least k) reads _FALSE and take() keeps the empty clause
     for lits in gate_lits:
-        cells = _counter_cells(b, lits, min(k + 1, len(lits)))
-        if k > len(lits):
-            # a row of weight k does not exist in this space
-            v = b.new_var()
-            b.add(v)
-            b.add(-v)
-        else:
-            b.add(cells[k - 1])
+        cells = _counter_cells(b, lits, k + 1)
+        b.add(_at_least(cells, k))
         b.add(-_at_least(cells, k + 1))
     exactly_k = b.take()
 
@@ -676,16 +673,26 @@ def run_solver(dimacs_path: str | Path, solver: str | None = None) -> tuple[int,
         ) from None
 
 
+def _checked(n: int, gates: Sequence[ThresholdGate]) -> LayeredCircuit:
+    """The gates under a standard-majority top gate, verified on all 2^n
+    inputs: the one exit of both engines, raising EncoderBug if it errs."""
+    circuit = with_top(n, [gates])
+    if (report := verify_all(circuit)).errors:
+        raise EncoderBug(f"found circuit disagrees with the majority on {report.errors} "
+                         f"of {report.total_checked} inputs; the search is unsound")
+    return circuit
+
+
 def decode(instance: CnfInstance | VariableMap, model: Iterable[int]) -> LayeredCircuit:
     """Rebuild the circuit a model describes, then verify it; instance is
     the encoding or its variable_map.
 
     The model must assign every selector (and threshold) variable, the
     multiplicity and threshold ladders must be downward closed, and every
-    row must weigh exactly k; anything else is a ModelError.  The rebuilt
-    circuit is checked against the majority on all inputs before being
-    returned; a failure there means the encoding lied and raises
-    EncoderBug.
+    row must weigh exactly k; anything else is a ModelError.  A model of
+    the encoding is right on both critical layers, hence on all inputs,
+    and the checked exit confirms it on all 2^n before returning; a
+    failure there means the encoding lied and raises EncoderBug.
     """
     spec = instance.spec
     assign: dict[float, bool] = {_TRUE: True, _FALSE: False}
@@ -724,14 +731,7 @@ def decode(instance: CnfInstance | VariableMap, model: Iterable[int]) -> Layered
             raise ModelError(f"gate {g} decodes to threshold {theta}")
         rows.append(ThresholdGate(tuple(inputs), theta))
 
-    circuit = with_top(n, [rows])
-    report = verify_all(circuit)
-    if report.errors:
-        raise EncoderBug(
-            f"decoded circuit disagrees with the majority on {report.errors} "
-            f"of {report.total_checked} inputs; the encoding is unsound"
-        )
-    return circuit
+    return _checked(n, rows)
 
 
 def solve_spec(
@@ -804,8 +804,9 @@ def exhaustive_search(
     at the root, and a child fires on every minterm one short.  All
     children are tested at once, and the survivors are entered in
     increasing candidate order, so the search visits nodes in the same
-    order as testing one child at a time.  The first complete candidate
-    that verifies on all inputs is returned.
+    order as testing one child at a time.  Every leaf is right on both
+    critical layers by the pruning, hence on all inputs; the checked exit
+    confirms the first and returns it, or raises EncoderBug.
     """
     n, k = spec.n, spec.k
     # sized before anything is built: the k-tuples, then a firing table row
@@ -859,12 +860,10 @@ def exhaustive_search(
         """mins, maxs: firing counts of the chosen gates per minterm and
         per maxterm."""
         if depth == k:
-            gates = tuple(
+            return _checked(n, [
                 ThresholdGate(tuple((i, m) for i, m in enumerate(cands[c][0]) if m), cands[c][1])
                 for c in chosen
-            )
-            circuit = with_top(n, [gates])
-            return circuit if verify_all(circuit).errors == 0 else None
+            ])
         # how far each minterm stays from theta if the k - depth - 1 gates
         # after the child all fire
         short = theta - (k - depth - 1) - mins

@@ -455,14 +455,18 @@ def _chunks(total: int, chunk: int) -> Iterator[tuple[int, int, int]]:
     return ((index, lo, min(lo + chunk, total)) for index, lo in enumerate(range(0, total, chunk)))
 
 
+def _sweep_cap(n: int, cap: int) -> None:
+    """Refuse a sweep of all 2^n inputs past the exhaustive cap."""
+    if n > cap:
+        raise CapExceeded(
+            f"n={n} exceeds the exhaustive cap {cap}; use verify_minmax or estimate_agreement"
+        )
+
+
 def truth_table(c: LayeredCircuit) -> np.ndarray:
     """Full 2^n truth table, index i holding the output where x1 is the most
     significant bit of i.  Only for n small enough to enumerate."""
-    if c.n > EXHAUSTIVE_CAP:
-        raise CapExceeded(
-            f"n={c.n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}; "
-            "use verify_minmax or estimate_agreement"
-        )
+    _sweep_cap(c.n, EXHAUSTIVE_CAP)
     plan = compile_circuit(c)
     chunks = _chunks(2**c.n, DEFAULT_CHUNK)
     return np.concatenate([_run(plan, _rows(c.n, None, lo, hi), plan.layers[0]) for _, lo, hi in chunks])
@@ -635,11 +639,7 @@ def verify_all(
     cap: int = EXHAUSTIVE_CAP,
 ) -> VerificationReport:
     """Compare the circuit with majority on every one of the 2^n inputs."""
-    if c.n > cap:
-        raise CapExceeded(
-            f"n={c.n} exceeds the exhaustive cap {cap}; "
-            "use verify_minmax or estimate_agreement"
-        )
+    _sweep_cap(c.n, cap)
     if c.n > 64:
         raise CapExceeded("exhaustive enumeration supports n up to 64")
     jobs = (("rows", None, *ch) for ch in _chunks(2**c.n, DEFAULT_CHUNK))

@@ -353,6 +353,8 @@ def test_majority_influence_scaling():
 def test_boundary_brute_force_cap():
     with pytest.raises(CapExceeded):
         boundary_size(np.zeros(2, dtype=np.uint8), BRUTE_FORCE_CAP + 1)
+    with pytest.raises(CapExceeded, match="^l=23 exceeds the brute-force cap 22$"):
+        majority_truth_table(BRUTE_FORCE_CAP + 1)
 
 
 @pytest.mark.parametrize(

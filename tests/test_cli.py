@@ -310,6 +310,20 @@ def test_search_exhaustive_refuses_a_large_n_at_once(n, capsys):
     assert len(err) == 1 and err[0].startswith("cap exceeded: critical-input tables of ")
 
 
+def test_search_maps_a_found_circuit_that_fails_verification_to_exit_1(monkeypatch, capsys):
+    # the checked exit both engines share raises EncoderBug on any error
+    monkeypatch.setattr(
+        "majcirc.search.verify_all", lambda c: verify.VerificationReport("exhaustive", 8, 2)
+    )
+    assert main(["search", "--engine", "exhaustive", "--n", "3", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: found circuit disagrees with the majority on 2 of 8 "
+        "inputs; the search is unsound\n"
+    )
+
+
 def test_search_exhaustive_empty_space(capsys):
     rc = main(
         ["search", "--engine", "exhaustive", "--n", "3", "--k", "1",
@@ -471,6 +485,20 @@ def test_fool_omission_circuit(tmp_path, capsys):
     assert "assignment: 00111" in out
     assert "majority: 1" in out
     assert "circuit_output: 0" in out
+
+
+def test_fool_exits_1_when_the_input_does_not_fool_the_circuit(tmp_path, monkeypatch, capsys):
+    # the construction always fools; a circuit evaluated as 1 stands in
+    # for one it did not
+    from majcirc.construct import omission_circuit
+
+    path = tmp_path / "om.circ"
+    path.write_text(serialize_circuit(omission_circuit(5, [(1, 2), (3, 4), (4, 5)])))
+    monkeypatch.setattr("majcirc.cli.eval_circuit", lambda c, a: 1)
+    assert main(["fool", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "circuit_output: 1" in captured.out
+    assert captured.err == "fooling input failed to fool the circuit\n"
 
 
 def test_fool_rejects_unsuitable_circuits(n7_file, capsys):

@@ -114,6 +114,24 @@ def test_block_params_validation():
         BlockParams(n=16, p=4, window_t=5)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BlockParams(n=16, p=0, window_t=0), "^p must be positive$"),
+        (lambda: default_block_params(0), "^n must be positive$"),
+        (lambda: pad_to_block_multiple(10, 0), "^p must be positive$"),
+        (lambda: Depth3Params(0), "^b must be positive$"),
+        # window_t = 0 at odd p leaves no threshold between p/2 and p/2
+        (lambda: build_block_circuit(BlockParams(3, 3, 0)),
+         r"^empty threshold window for p=3, window_t=0$"),
+    ],
+    ids=["block-p", "default-n", "pad-p", "depth3-b", "empty-window"],
+)
+def test_size_parameters_out_of_range_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_block_structure_16_4():
     c = build_block_circuit(BlockParams(n=16, p=4, window_t=2))
     assert c.depth == 2

@@ -62,7 +62,7 @@ from majcirc.search import (
     solve_spec,
     variable_map,
 )
-from majcirc.verify import verify_all
+from majcirc.verify import VerificationReport, verify_all
 
 def row_multiset(c: LayeredCircuit):
     return sorted((g.inputs, g.theta) for g in c.layers[0])
@@ -238,6 +238,12 @@ def test_decode_recovers_pinned_rows_without_a_solver():
     assert verify_all(c).errors == 0
 
 
+def test_decode_skips_the_0_that_ends_a_model_line():
+    instance = encode(SearchSpaceSpec(n=3, k=3))
+    model = full_selector_model(instance, [(1, 1, 1)] * 3)
+    assert decode(instance, [0, *model[:5], 0, *model[5:], 0]) == decode(instance, model)
+
+
 def test_decode_rejects_partial_models():
     spec = SearchSpaceSpec(n=3, k=3)
     instance = encode(spec)
@@ -408,8 +414,9 @@ DIMACS_GOLDEN = [
     (dict(n=3, k=3, standard_thresholds=False), "d3c793b6b2c9d0cddd3bbc5738e894b5b29d7fbb7fad0b7b9adebd64bbf60106", 247, 770),
     (dict(n=5, k=5, multiplicity_max=1), "798cdffdfdbacd414147e97e021bd3c4e44febff9323b13993eefe9e5ab6f1cb", 756, 2177),
     (dict(n=5, k=5, multiplicity_max=1, standard_thresholds=False), "06e6cdf2fd485362240a3f88264d722e9cb57783f94f65a5537922891c0dda73", 931, 3202),
-    # weight*multiplicity < theta on every constraint, and k > n*multiplicity
-    (dict(n=3, k=5, multiplicity_max=1), "181478e79aac4679092f8f300b7f02a126ffc9eaa65bf1d066d95d6ef61d19bb", 160, 404),
+    # weight*multiplicity < theta on every constraint, and k > n*multiplicity:
+    # each gate's exactly-k is the empty clause, written "0"
+    (dict(n=3, k=5, multiplicity_max=1), "978db9961d16ea61699714bda877b561cf9c175284f77394837df342f8ef873e", 155, 399),
     (dict(n=1, k=1), "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c", 11, 25),
     (dict(n=9, k=7), "009846da290dbed59952d425ae13ff224b48f4b1d27bc62e988f51e6fa99a567", 61268, 215387),
 ]
@@ -484,11 +491,76 @@ def test_sections_count_each_part(kw):
     layers = [majority_threshold(n), majority_threshold(n) - 1]
     assert instance.sections == {
         "ladders": k * n * (mult - 1) + (0 if spec.standard_thresholds else k * k),
-        "exactly_k": k * (counter_clauses(length, k + 1) + (1 if k == length else 2)),
+        "exactly_k": k * (counter_clauses(length, k + 1) + (1 if k >= length else 2)),
         "per_assignment": sum(math.comb(n, w) * block_clauses(spec, w) for w in layers),
         "symmetry": (k - 1) * (3 * length - 2),
     }
     assert sum(instance.sections.values()) == len(instance.clauses)
+
+
+# sha256 of write_dimacs per (n, k, multiplicity_max, standard_thresholds)
+# with k at and one below the row length n*multiplicity_max, computed with
+# the encoder that capped the exactly-k counter at the row length and wrote
+# an unsatisfiable pair of unit clauses past it
+ROW_LENGTH_GOLDEN = [
+    (1, 1, 1, True, "00f083952b20be8f7a0f5f27d3c460af91dd32cb5babf8bd492a9a1e8aa0de3a"),
+    (1, 1, 1, False, "869bfd47107a5d78fc33a44f6067c473a31f734269c990c896a79635accfef94"),
+    (1, 1, 2, True, "07f1cca6a999a2ba8a4343ba2fe674669ab9e46b397f835b44e1a9b86331055c"),
+    (1, 1, 2, False, "f71e9e943dc6097c16986b4286ce7286598315893c516a26c82f1029eb9cd92a"),
+    (1, 2, 2, True, "0b5c34ba59380f90d057923663ae9b73003699e0a2b990907b62a665dc9eaa8e"),
+    (1, 2, 2, False, "0da26436b6103f4052d715713b2a66a9885edcced38c7fb655f8b4259cdd87b7"),
+    (2, 1, 1, True, "74c706336852f217113cc62589ff70618abff3c98a9c27e940fe1b34c598a10e"),
+    (2, 1, 1, False, "b54c2efc1bc202234fee9c9ce850d7994661f716ce71d9bb2390439d42abe75c"),
+    (2, 2, 1, True, "c9e51e371e4121e3a918ba12a8636bd2a6819eae8571ec29d2ce66f610c880d7"),
+    (2, 2, 1, False, "eaf5ac2c73877fcc4b89528b99b2c18ee72c703307bbf267495dddec56a4ef5c"),
+    (2, 3, 2, True, "c82dd3e2b5c057bddb1a704f3beb4b8942ff64ef59c1e16845281a23e8f349ee"),
+    (2, 3, 2, False, "ea4bcdec0916ace1ed1f10923e0e5c6a28c7531c29c8dc487c2a49357d503e7f"),
+    (2, 4, 2, True, "5ef4ac16485195e8b2bb6c37ea859878e600377f846cd3a4baa80fe4a52c1bd8"),
+    (2, 4, 2, False, "e0f76710681c3024dd419aa07a910f035f536f3d06c5cd3ce9ffe2640d02b7ad"),
+    (3, 2, 1, True, "e2b2a1ebf49c7f5421dd85f60d577ae859628a012d7a48077641a159e1a82a5e"),
+    (3, 2, 1, False, "8eac501263662893cbaeca6775005972f121d1ff293e98e98789df1fed5344cc"),
+    (3, 3, 1, True, "b1fd493ed39c9f0ef4745469a2e2dd8aea5cb0a7102cd1dad837cfbe121da61a"),
+    (3, 3, 1, False, "ed270c67d87280d0b26ad3af9d4796e37e92a8ef7470e9b0a235f2920dc03286"),
+    (3, 5, 2, True, "57cd406ea26c5de4ca89a56810e8d5fc5c11e02eefc92eabaa4e05b459641ced"),
+    (3, 5, 2, False, "303eef38aedc0b865e767065f3e7cf8d62adf2021398b9be672aac0b25fefa40"),
+    (3, 6, 2, True, "fef4d9d930f8d34ca658873ffe3836a2965ac6cab13d5841758aa4abf6f07ec5"),
+    (3, 6, 2, False, "ca50c045b6a19b135d7cd675a60f99c7d12109051688915806c8353da455874c"),
+    (4, 3, 1, True, "aede96a801ab18602cf6fc3f5bcbe7c28561cd45b9aa0f6e3d263a87f5d42c14"),
+    (4, 3, 1, False, "5f6667286845994bd7e872d124edfe2267542942e89e72b9b1cf61d24f4d460e"),
+    (4, 4, 1, True, "0f09a275e6ee016ae210998f99b069e1c5f303a810ead6163bb96f257225dc1b"),
+    (4, 4, 1, False, "ca2ad945abd53db59140cbd53127938ffc17e66e1802c80b607b087948d954c2"),
+    (4, 7, 2, True, "9e2d90027bc0ad4f97480db6c26925feefa17f791d2065e1ab8ff55603dbf133"),
+    (4, 7, 2, False, "c42818147526c3f87731217f7ab2cbf3c164d6aaf00f8c7c9dac08ececd3206f"),
+    (4, 8, 2, True, "61f166f768e5fed7ad4fc8ca1b7acbca5ce42332cb6775a5fbb6d7922d3aaccf"),
+    (4, 8, 2, False, "dee26089b333c041a1a559174f5cc838ba2d1ccc0183f9eaa1492f5de7a8fc29"),
+]
+
+
+@pytest.mark.parametrize("n, k, mult, standard, digest", ROW_LENGTH_GOLDEN)
+def test_dimacs_bytes_up_to_the_row_length_are_pinned(n, k, mult, standard, digest, tmp_path):
+    encode(SearchSpaceSpec(n, k, mult, standard)).write_dimacs(tmp_path / "x.cnf")
+    assert hashlib.sha256((tmp_path / "x.cnf").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spaces_past_the_row_length_are_empty(n, tmp_path):
+    """With k past n*multiplicity_max no row weighs k: each gate's exactly-k
+    constraint is the empty clause, an all-zero row written "0", and both
+    engines find the space empty."""
+    for mult in (1, 2):
+        for k in (n * mult + 1, n * mult + 2):
+            for standard in (True, False):
+                spec = SearchSpaceSpec(n, k, mult, standard)
+                instance = encode(spec)
+                empty = ~instance.clauses.any(axis=1)
+                lo = instance.sections["ladders"]
+                assert empty[lo : lo + instance.sections["exactly_k"]].sum() == k, spec
+                assert empty.sum() == k, spec
+                out = tmp_path / f"{n}-{k}-{mult}-{standard}"
+                assert solve_spec(spec, solver=BUILTIN_SOLVER, keep_files=out) is None, spec
+                lines = (out / f"maj-n{n}-k{k}.cnf").read_text().splitlines()
+                assert lines.count("0") == k, spec
+                assert exhaustive_search(spec) is None, spec
 
 
 def test_encoding_memory_is_the_clause_matrix(tmp_path: Path, monkeypatch):
@@ -710,6 +782,16 @@ def test_find_solver_skips_minisat(monkeypatch):
     assert find_solver() == BUILTIN_SOLVER
 
 
+def test_find_solver_takes_the_first_candidate_on_path(monkeypatch, tmp_path):
+    monkeypatch.delenv("MAJCIRC_SAT_SOLVER", raising=False)
+    for name in ("cadical", "kissat"):
+        fake = tmp_path / name
+        fake.write_text("#!/bin/sh\nexit 0\n")
+        fake.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert find_solver() == str(tmp_path / "kissat")
+
+
 def test_run_solver_without_any_solver(monkeypatch, tmp_path):
     """With nothing configured or on PATH, the built-in solver answers."""
     monkeypatch.delenv("MAJCIRC_SAT_SOLVER", raising=False)
@@ -734,6 +816,17 @@ def test_run_solver_without_any_solver(monkeypatch, tmp_path):
 
 
 # -- exhaustive engine -------------------------------------------------------
+
+
+def test_exhaustive_raises_when_a_leaf_fails_verification(monkeypatch):
+    """Every leaf is right on both critical layers by the pruning; should
+    the check on all inputs disagree, the search raises instead of walking
+    on past it."""
+    monkeypatch.setattr(
+        "majcirc.search.verify_all", lambda c: VerificationReport("exhaustive", 8, 1)
+    )
+    with pytest.raises(EncoderBug, match="^found circuit disagrees with the majority on 1 of 8 inputs"):
+        exhaustive_search(SearchSpaceSpec(3, 3))
 
 
 def test_exhaustive_finds_majority_of_majorities():
@@ -1042,3 +1135,9 @@ def test_fooling_preconditions_rejected():
     c5 = LayeredCircuit(n=5, k=4, layers=(tuple(good), (double_top,)), top=0)
     with pytest.raises(ValueError, match="top gate"):
         fooling_input(c5)
+
+    # and read them at the standard threshold of its fan-in
+    strict_top = ThresholdGate(((0, 1), (1, 1), (2, 1)), theta=3)
+    c6 = LayeredCircuit(n=5, k=3, layers=(tuple(good), (strict_top,)), top=0)
+    with pytest.raises(ValueError, match="^non-standard threshold on the top gate: 3 over fan-in 3$"):
+        fooling_input(c6)
